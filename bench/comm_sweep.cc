@@ -32,15 +32,15 @@ namespace vero {
 namespace bench {
 namespace {
 
-const char* ModeTag(HistogramCompression mode) {
+const char* ModeTag(CollectiveCompression mode) {
   switch (mode) {
-    case HistogramCompression::kOff:
+    case CollectiveCompression::kOff:
       return "off";
-    case HistogramCompression::kSparse:
+    case CollectiveCompression::kSparse:
       return "sparse";
-    case HistogramCompression::kSparseDelta:
+    case CollectiveCompression::kSparseDelta:
       return "sparse_delta";
-    case HistogramCompression::kQuantized:
+    case CollectiveCompression::kQuantized:
       return "quantized";
   }
   return "unknown";
@@ -155,11 +155,11 @@ void Main(int argc, char** argv) {
 
   const double kDensities[] = {0.02, 0.05, 0.1, 0.5, 1.0};
   const Quadrant kQuadrants[] = {Quadrant::kQD1, Quadrant::kQD2};
-  const HistogramCompression kModes[] = {
-      HistogramCompression::kOff,
-      HistogramCompression::kSparse,
-      HistogramCompression::kSparseDelta,
-      HistogramCompression::kQuantized,
+  const CollectiveCompression kModes[] = {
+      CollectiveCompression::kOff,
+      CollectiveCompression::kSparse,
+      CollectiveCompression::kSparseDelta,
+      CollectiveCompression::kQuantized,
   };
 
   std::vector<Row> rows;
@@ -170,7 +170,7 @@ void Main(int argc, char** argv) {
                                        /*seed=*/31);
     for (Quadrant quadrant : kQuadrants) {
       const size_t cell_begin = rows.size();
-      for (HistogramCompression mode : kModes) {
+      for (CollectiveCompression mode : kModes) {
         BenchRunSpec spec;
         spec.workers = 4;
         spec.params = PaperParams(6);

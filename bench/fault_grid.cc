@@ -41,13 +41,13 @@ struct GridCell {
   double delay;
 };
 
-const char* ModeTag(StragglerMitigation mode) {
+const char* ModeTag(MitigationMode mode) {
   switch (mode) {
-    case StragglerMitigation::kStrict:
+    case MitigationMode::kStrict:
       return "strict";
-    case StragglerMitigation::kBoundedStaleness:
+    case MitigationMode::kBoundedStaleness:
       return "bounded";
-    case StragglerMitigation::kSpeculative:
+    case MitigationMode::kSpeculative:
       return "speculative";
   }
   return "unknown";
@@ -94,10 +94,10 @@ void Main() {
       {FaultPhase::kTrain, 2, 1.0},
       {FaultPhase::kSetup, 1, 1.0},
   };
-  const StragglerMitigation kModes[] = {
-      StragglerMitigation::kStrict,
-      StragglerMitigation::kBoundedStaleness,
-      StragglerMitigation::kSpeculative,
+  const MitigationMode kModes[] = {
+      MitigationMode::kStrict,
+      MitigationMode::kBoundedStaleness,
+      MitigationMode::kSpeculative,
   };
 
   std::printf("\n%-22s %-11s %9s %8s %5s %5s %5s %10s %10s\n", "cell",
@@ -110,7 +110,7 @@ void Main() {
                   cell.phase == FaultPhase::kSetup ? "setup" : "train",
                   cell.rank, cell.delay);
     double strict_seconds = 0.0;
-    for (StragglerMitigation mode : kModes) {
+    for (MitigationMode mode : kModes) {
       BenchRunSpec spec;
       spec.workers = 4;
       spec.params = PaperParams(6);
@@ -128,7 +128,7 @@ void Main() {
         continue;
       }
       const double seconds = result.TrainSeconds();
-      if (mode == StragglerMitigation::kStrict) strict_seconds = seconds;
+      if (mode == MitigationMode::kStrict) strict_seconds = seconds;
       const double loss =
           result.curve.empty() ? 0.0 : result.curve.back().train_loss;
       std::printf("%-22s %-11s %9.4f %7.2fx %5llu %5llu %5llu %10s %10.5f\n",

@@ -111,13 +111,13 @@ bool ParseArgs(int argc, char** argv, CliOptions* opt) {
     } else if (arg == "--compression" && (v = need_value(i))) {
       const std::string mode = v;
       if (mode == "off") {
-        opt->params.compression = HistogramCompression::kOff;
+        opt->params.compression = CollectiveCompression::kOff;
       } else if (mode == "sparse") {
-        opt->params.compression = HistogramCompression::kSparse;
+        opt->params.compression = CollectiveCompression::kSparse;
       } else if (mode == "sparse_delta") {
-        opt->params.compression = HistogramCompression::kSparseDelta;
+        opt->params.compression = CollectiveCompression::kSparseDelta;
       } else if (mode == "quantized") {
-        opt->params.compression = HistogramCompression::kQuantized;
+        opt->params.compression = CollectiveCompression::kQuantized;
       } else {
         std::fprintf(stderr, "unknown --compression mode: %s\n", v);
         return false;

@@ -5,40 +5,17 @@
 #include <span>
 #include <vector>
 
+#include "common/collective_modes.h"
 #include "common/status.h"
 
 namespace vero {
 
-/// Histogram-payload compression applied underneath the collectives (the
-/// codec layer of WorkerContext::AllReduceSumCodec and friends). `kOff`
-/// delegates to the uncompressed path and stays bit-identical to seed; the
-/// two sparse modes are lossless (raw f64 bit patterns are preserved,
-/// including -0.0, denormals, and NaN payloads); `kQuantized` trades a
-/// documented per-block error bound for 16-bit values on the wire. See
-/// docs/wire_formats.md for the frame layout.
-enum class CollectiveCompression {
-  kOff = 0,
-  /// Per-block dense/sparse switch; sparse blocks store absolute bin
-  /// indices as varints plus the raw nonzero doubles.
-  kSparse = 1,
-  /// Like kSparse, but bin indices are gap-encoded (first index, then
-  /// successive deltas minus one) before varint packing, so clustered
-  /// nonzeros cost ~1 byte of index each.
-  kSparseDelta = 2,
-  /// Delta-indexed sparse layout with 16-bit linear quantization of the
-  /// values: per block offset/scale doubles plus one u16 code per value.
-  /// Lossy; max abs error <= (max-min)/65535/2 per block. Blocks holding
-  /// non-finite values fall back to lossless dense-raw so injected NaN
-  /// poison still propagates byte-exactly.
-  kQuantized = 3,
-};
-
 const char* CollectiveCompressionToString(CollectiveCompression mode);
 
-/// Per-call codec policy, derived from GbdtParams by CodecFromParams (see
-/// dist_common.h) and passed by the trainers to the codec collectives.
-/// Mirrors the MitigationOptions pattern: `enabled() == false` routes to the
-/// existing uncompressed collectives with bit-identical accounting.
+/// Codec half of a CollectivePolicy (communicator.h), derived from
+/// GbdtParams by CollectivePolicyFromParams (dist_common.h). With
+/// `enabled() == false` a collective ships the raw payload with
+/// bit-identical accounting.
 struct CodecSpec {
   CollectiveCompression mode = CollectiveCompression::kOff;
   /// Values per independently-encoded block; the trainers pass one

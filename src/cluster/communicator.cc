@@ -29,8 +29,9 @@ struct WorkerContext::ObsHandles {
   obs::HistogramMetric* op_sim_seconds = nullptr;
 
   /// staleness.* / speculation.* handles, resolved lazily by the first
-  /// mitigated collective so strict runs keep exactly the seed's metric
-  /// name set (the bit-identical-to-seed contract covers reports too).
+  /// collective run with mitigation on so strict runs keep exactly the
+  /// seed's metric name set (the bit-identical-to-seed contract covers
+  /// reports too).
   obs::Counter* stale_deferred = nullptr;
   obs::Counter* stale_forced = nullptr;
   obs::HistogramMetric* stale_deferred_seconds = nullptr;
@@ -42,9 +43,8 @@ struct WorkerContext::ObsHandles {
   obs::HistogramMetric* spec_absorbed_seconds = nullptr;
 
   /// comm.<Op>.raw_bytes / compressed_bytes + codec.* handles, resolved
-  /// lazily by the first codec collective so compression-off runs keep
-  /// exactly the seed's metric name set (the bit-identical-to-seed contract
-  /// covers reports too).
+  /// lazily by the first collective run with the codec on so
+  /// compression-off runs keep exactly the seed's metric name set.
   obs::Counter* codec_raw[kNumCollectiveOps] = {};
   obs::Counter* codec_wire[kNumCollectiveOps] = {};
   obs::Counter* codec_dense_blocks = nullptr;
@@ -265,26 +265,25 @@ void WorkerContext::Charge(CollectiveOp op, uint64_t sent, uint64_t received) {
   }
 }
 
-void WorkerContext::RecordCodec(CollectiveOp op, uint64_t raw_sent,
-                                uint64_t raw_received, uint64_t wire_sent,
-                                uint64_t wire_received,
-                                const CodecStats& cstats) {
-  stats_.codec_raw_bytes += raw_sent + raw_received;
-  stats_.codec_wire_bytes += wire_sent + wire_received;
+void WorkerContext::RecordCompression(CollectiveOp op, const CallTally& tally) {
+  const uint64_t raw = tally.raw_sent + tally.raw_received;
+  const uint64_t wire = tally.sent + tally.received;
+  stats_.codec_raw_bytes += raw;
+  stats_.codec_wire_bytes += wire;
   if constexpr (obs::kObsEnabled) {
     if (obs_handles_ != nullptr) {
       obs_handles_->EnsureCodecHandles(metrics_);
       const int i = static_cast<int>(op);
-      obs_handles_->codec_raw[i]->Add(raw_sent + raw_received);
-      obs_handles_->codec_wire[i]->Add(wire_sent + wire_received);
-      obs_handles_->codec_dense_blocks->Add(cstats.dense_blocks);
-      obs_handles_->codec_sparse_blocks->Add(cstats.sparse_blocks);
-      obs_handles_->codec_quantized_blocks->Add(cstats.quantized_blocks);
+      obs_handles_->codec_raw[i]->Add(raw);
+      obs_handles_->codec_wire[i]->Add(wire);
+      obs_handles_->codec_dense_blocks->Add(tally.codec.dense_blocks);
+      obs_handles_->codec_sparse_blocks->Add(tally.codec.sparse_blocks);
+      obs_handles_->codec_quantized_blocks->Add(tally.codec.quantized_blocks);
     }
   }
 }
 
-void WorkerContext::DebugCheckCodecSymmetry(uint64_t sent, uint64_t received) {
+void WorkerContext::DebugCheckByteSymmetry(uint64_t sent, uint64_t received) {
 #ifdef NDEBUG
   (void)sent;
   (void)received;
@@ -302,7 +301,7 @@ void WorkerContext::DebugCheckCodecSymmetry(uint64_t sent, uint64_t received) {
   double sum = 0.0;
   for (int r = 0; r < w; ++r) sum += cluster_->instrument_slots_[r];
   VERO_CHECK_EQ(sum, 0.0)
-      << "codec byte accounting asymmetric: cluster-wide sent != received";
+      << "collective byte accounting asymmetric: cluster-wide sent != received";
   InstrumentRendezvous();
 #endif
 }
@@ -331,6 +330,22 @@ uint64_t NextRand(uint64_t* state) {
   x ^= x << 17;
   *state = x;
   return x;
+}
+
+/// Every policy collective reports an outcome, all ranks contributing
+/// unless bounded mitigation defers someone.
+void ResetOutcome(MitigationOutcome* outcome, int w) {
+  if (outcome == nullptr) return;
+  *outcome = MitigationOutcome{};
+  outcome->contributed.assign(w, 1);
+}
+
+/// Uncompressed size of a codec frame, read from its header so a deferred
+/// rank's frame (never decoded) is accounted like a decoded one.
+uint64_t FrameRawBytes(const std::vector<uint8_t>& frame) {
+  uint64_t raw = 0;
+  VERO_CHECK_OK(CodecFrameRawSize(frame, &raw));
+  return raw;
 }
 
 }  // namespace
@@ -566,39 +581,90 @@ size_t WorkerContext::SliceEnd(size_t n, int rank) const {
   return n * (rank + 1) / w;
 }
 
-Status WorkerContext::AllReduceSum(std::span<double> data) {
-  FaultDecision decision;
-  VERO_RETURN_IF_ERROR(Prepare(CollectiveOp::kAllReduceSum, &decision));
+Status WorkerContext::AllReduceSum(std::span<double> data,
+                                   const CollectivePolicy& policy,
+                                   MitigationOutcome* outcome) {
+  constexpr CollectiveOp kOp = CollectiveOp::kAllReduceSum;
   const int w = world_size();
-  if (w == 1) return ApplyFaults(CollectiveOp::kAllReduceSum, decision, 0, 0);
-  cluster_->mutable_ptrs_[rank_] = data.data();
-  cluster_->sizes_[rank_] = data.size();
+  ResetOutcome(outcome, w);
+  FaultDecision decision;
+  VERO_RETURN_IF_ERROR(Prepare(kOp, &decision));
+  if (w == 1) return ApplyFaults(kOp, decision, 0, 0);
+  const bool mitigate = policy.mitigation.enabled();
+  const bool coded = policy.codec.enabled();
+  CallTally tally;
+  std::vector<uint8_t> frame;
+  if (coded) {
+    CodecEncode(data, policy.codec, &frame, &tally.codec);
+    cluster_->ptrs_[rank_] = &frame;
+    cluster_->sizes_[rank_] = frame.size();
+  } else {
+    // Zero-copy: the serial participant reads every rank's buffer in place.
+    cluster_->mutable_ptrs_[rank_] = data.data();
+    cluster_->sizes_[rank_] = data.size();
+  }
+  if (mitigate) cluster_->delay_slots_[rank_] = decision.delay_seconds;
   bool serial = false;
   VERO_RETURN_IF_ERROR(Rendezvous(&serial));
   if (serial) {
-    // Serial participant: sum everyone into the shared buffer.
-    const size_t n = cluster_->sizes_[0];
-    for (int r = 1; r < w; ++r) VERO_CHECK_EQ(cluster_->sizes_[r], n);
+    // Serial participant: sum everyone into the shared buffer, in rank order
+    // 0..W-1 whatever the policy, so lossless frames reproduce the
+    // uncompressed sum bit for bit.
+    if (mitigate) cluster_->PlanMitigation(policy.mitigation);
+    const size_t n = data.size();
+    if (!coded) {
+      for (int r = 0; r < w; ++r) VERO_CHECK_EQ(cluster_->sizes_[r], n);
+    }
     cluster_->reduce_buffer_.assign(n, 0.0);
+    std::vector<double> decoded;
     for (int r = 0; r < w; ++r) {
-      const double* src = static_cast<const double*>(cluster_->mutable_ptrs_[r]);
+      if (mitigate && cluster_->mit_class_[r] == RankClass::kDeferred) continue;
+      const double* src;
+      if (coded) {
+        VERO_CHECK_OK(CodecDecode(
+            *static_cast<const std::vector<uint8_t>*>(cluster_->ptrs_[r]),
+            &decoded));
+        VERO_CHECK_EQ(decoded.size(), n);
+        src = decoded.data();
+      } else {
+        src = static_cast<const double*>(cluster_->mutable_ptrs_[r]);
+      }
       for (size_t i = 0; i < n; ++i) cluster_->reduce_buffer_[i] += src[i];
     }
   }
   VERO_RETURN_IF_ERROR(Rendezvous(&serial));
-  std::memcpy(data.data(), cluster_->reduce_buffer_.data(),
-              data.size() * sizeof(double));
+  const MitigatedCall call =
+      mitigate ? ReadMitigationPlan(outcome) : MitigatedCall{};
+  if (call.my == RankClass::kDeferred) {
+    // The dropped contribution, measured before the copy-out overwrites it.
+    for (double v : data) tally.deferred_mass += v;
+  }
+  std::copy_n(cluster_->reduce_buffer_.begin(), data.size(), data.begin());
   // Silent corruption lands in this rank's copy of the aggregate, after the
   // transport (and its CRC/retry machinery) delivered it clean.
   MaybeSilentCorrupt(decision, data);
-  VERO_RETURN_IF_ERROR(Rendezvous(&serial));
 
   // Ring all-reduce volume: each worker sends (and receives) the buffer
-  // twice, minus its own 1/W share, in 2*(W-1) pipelined steps.
+  // twice, minus its own 1/W share, in 2*(W-1) pipelined steps. A late
+  // payload still crosses the wire; it is just dropped on arrival.
   const uint64_t bytes = data.size() * sizeof(double);
-  const uint64_t wire = 2 * bytes * (w - 1) / w;
-  Charge(CollectiveOp::kAllReduceSum, wire, wire);
-  return ApplyFaults(CollectiveOp::kAllReduceSum, decision, wire, wire);
+  const uint64_t raw_wire = 2 * bytes * (w - 1) / w;
+  uint64_t wire = raw_wire;
+  if (coded) {
+    // Over encoded frames the per-rank buffer size becomes the mean frame
+    // size (the ring moves everyone's data through everyone); equal frames
+    // reduce exactly to the dense accounting. All frame sizes were
+    // published before the first rendezvous, so every rank reads the same.
+    uint64_t total_encoded = 0;
+    for (int r = 0; r < w; ++r) total_encoded += cluster_->sizes_[r];
+    wire = 2 * (total_encoded / w) * (w - 1) / w;
+    tally.raw_sent = tally.raw_received = raw_wire;
+  }
+  tally.sent = tally.received = wire;
+  if (call.serving_for >= 0) tally.extra_sent = tally.extra_received = wire;
+  DebugCheckByteSymmetry(tally.sent, tally.received);
+  VERO_RETURN_IF_ERROR(Rendezvous(&serial));
+  return FinishCollective(kOp, policy, decision, call, tally);
 }
 
 Status WorkerContext::ReduceScatterSum(std::span<double> data) {
@@ -635,34 +701,69 @@ Status WorkerContext::ReduceScatterSum(std::span<double> data) {
 }
 
 Status WorkerContext::AllGather(const std::vector<uint8_t>& mine,
-                                std::vector<std::vector<uint8_t>>* all) {
-  FaultDecision decision;
-  VERO_RETURN_IF_ERROR(Prepare(CollectiveOp::kAllGather, &decision));
+                                std::vector<std::vector<uint8_t>>* all,
+                                const CollectivePolicy& policy,
+                                MitigationOutcome* outcome) {
+  constexpr CollectiveOp kOp = CollectiveOp::kAllGather;
   const int w = world_size();
+  ResetOutcome(outcome, w);
+  FaultDecision decision;
+  VERO_RETURN_IF_ERROR(Prepare(kOp, &decision));
   all->assign(w, {});
   if (w == 1) {
     (*all)[0] = mine;
-    return ApplyFaults(CollectiveOp::kAllGather, decision, 0, 0);
+    return ApplyFaults(kOp, decision, 0, 0);
   }
-  cluster_->ptrs_[rank_] = &mine;
+  const bool mitigate = policy.mitigation.enabled();
+  const bool coded = policy.codec.enabled();
+  CallTally tally;
+  std::vector<uint8_t> frame;
+  if (coded) CodecEncodeBytes(mine, policy.codec, &frame, &tally.codec);
+  const std::vector<uint8_t>& outgoing = coded ? frame : mine;
+  cluster_->ptrs_[rank_] = &outgoing;
+  if (mitigate) cluster_->delay_slots_[rank_] = decision.delay_seconds;
   bool serial = false;
   VERO_RETURN_IF_ERROR(Rendezvous(&serial));
-  uint64_t received = 0;
+  MitigatedCall call;
+  if (mitigate) {
+    if (serial) cluster_->PlanMitigation(policy.mitigation);
+    VERO_RETURN_IF_ERROR(Rendezvous(&serial));
+    call = ReadMitigationPlan(outcome);
+  }
   std::vector<std::vector<uint8_t>*> remote;
   for (int r = 0; r < w; ++r) {
     const auto* src =
         static_cast<const std::vector<uint8_t>*>(cluster_->ptrs_[r]);
-    (*all)[r] = *src;
     if (r != rank_) {
-      received += src->size();
-      remote.push_back(&(*all)[r]);
+      tally.received += src->size();
+      if (coded) tally.raw_received += FrameRawBytes(*src);
     }
+    // A deferred rank's payload crossed the wire but is dropped on arrival,
+    // on every rank — its slot stays empty.
+    if (call.deferred(r)) continue;
+    if (coded) {
+      // Every rank decodes every frame — its own included — so a lossy
+      // codec's reconstruction is replicated-deterministic cluster-wide.
+      VERO_CHECK_OK(CodecDecodeBytes(*src, &(*all)[r]));
+    } else {
+      (*all)[r] = *src;
+    }
+    if (r != rank_) remote.push_back(&(*all)[r]);
   }
   MaybeSilentCorrupt(decision, remote);
+  if (call.my == RankClass::kDeferred) {
+    tally.deferred_mass = static_cast<double>(mine.size());
+  }
+  if (call.serving_for >= 0) {
+    const auto* src = static_cast<const std::vector<uint8_t>*>(
+        cluster_->ptrs_[call.serving_for]);
+    tally.extra_sent = src->size() * (w - 1);
+  }
+  tally.sent = outgoing.size() * (w - 1);
+  tally.raw_sent = mine.size() * (w - 1);
+  DebugCheckByteSymmetry(tally.sent, tally.received);
   VERO_RETURN_IF_ERROR(Rendezvous(&serial));
-  const uint64_t sent = mine.size() * (w - 1);
-  Charge(CollectiveOp::kAllGather, sent, received);
-  return ApplyFaults(CollectiveOp::kAllGather, decision, sent, received);
+  return FinishCollective(kOp, policy, decision, call, tally);
 }
 
 Status WorkerContext::Broadcast(std::vector<uint8_t>* data, int root) {
@@ -724,40 +825,84 @@ Status WorkerContext::Gather(const std::vector<uint8_t>& mine, int root,
 }
 
 Status WorkerContext::AllToAll(std::vector<std::vector<uint8_t>> to_each,
-                               std::vector<std::vector<uint8_t>>* from_each) {
-  FaultDecision decision;
-  VERO_RETURN_IF_ERROR(Prepare(CollectiveOp::kAllToAll, &decision));
+                               std::vector<std::vector<uint8_t>>* from_each,
+                               const CollectivePolicy& policy,
+                               MitigationOutcome* outcome) {
+  constexpr CollectiveOp kOp = CollectiveOp::kAllToAll;
   const int w = world_size();
+  ResetOutcome(outcome, w);
+  FaultDecision decision;
+  VERO_RETURN_IF_ERROR(Prepare(kOp, &decision));
   VERO_CHECK_EQ(static_cast<int>(to_each.size()), w);
   from_each->assign(w, {});
   if (w == 1) {
     (*from_each)[0] = std::move(to_each[0]);
-    return ApplyFaults(CollectiveOp::kAllToAll, decision, 0, 0);
+    return ApplyFaults(kOp, decision, 0, 0);
   }
-  cluster_->ptrs_[rank_] = &to_each;
-  bool serial = false;
-  VERO_RETURN_IF_ERROR(Rendezvous(&serial));
-  uint64_t sent = 0, received = 0;
-  std::vector<std::vector<uint8_t>*> remote;
-  for (int r = 0; r < w; ++r) {
-    const auto* src = static_cast<const std::vector<std::vector<uint8_t>>*>(
-        cluster_->ptrs_[r]);
-    (*from_each)[r] = (*src)[rank_];
-    if (r != rank_) {
-      received += (*src)[rank_].size();
-      remote.push_back(&(*from_each)[r]);
+  const bool mitigate = policy.mitigation.enabled();
+  const bool coded = policy.codec.enabled();
+  CallTally tally;
+  std::vector<std::vector<uint8_t>> frames;
+  if (coded) {
+    frames.resize(w);
+    for (int r = 0; r < w; ++r) {
+      CodecEncodeBytes(to_each[r], policy.codec, &frames[r], &tally.codec);
     }
   }
+  const std::vector<std::vector<uint8_t>>& outgoing = coded ? frames : to_each;
+  cluster_->ptrs_[rank_] = &outgoing;
+  if (mitigate) cluster_->delay_slots_[rank_] = decision.delay_seconds;
+  bool serial = false;
+  VERO_RETURN_IF_ERROR(Rendezvous(&serial));
+  MitigatedCall call;
+  if (mitigate) {
+    if (serial) cluster_->PlanMitigation(policy.mitigation);
+    VERO_RETURN_IF_ERROR(Rendezvous(&serial));
+    call = ReadMitigationPlan(outcome);
+  }
+  std::vector<std::vector<uint8_t>*> remote;
   for (int r = 0; r < w; ++r) {
-    if (r != rank_) sent += to_each[r].size();
+    const std::vector<uint8_t>& in =
+        (*static_cast<const std::vector<std::vector<uint8_t>>*>(
+            cluster_->ptrs_[r]))[rank_];
+    if (r != rank_) {
+      tally.received += in.size();
+      if (coded) tally.raw_received += FrameRawBytes(in);
+    }
+    // A deferred rank's buffers are dropped everywhere, self-slice included,
+    // so receivers that skip non-contributors stay replicated-deterministic.
+    if (call.deferred(r)) continue;
+    if (coded) {
+      VERO_CHECK_OK(CodecDecodeBytes(in, &(*from_each)[r]));
+    } else {
+      (*from_each)[r] = in;
+    }
+    if (r != rank_) remote.push_back(&(*from_each)[r]);
   }
   MaybeSilentCorrupt(decision, remote);
+  for (int r = 0; r < w; ++r) {
+    if (r == rank_) continue;
+    tally.sent += outgoing[r].size();
+    tally.raw_sent += to_each[r].size();
+  }
+  if (call.my == RankClass::kDeferred) {
+    for (const auto& buf : to_each) {
+      tally.deferred_mass += static_cast<double>(buf.size());
+    }
+  }
+  if (call.serving_for >= 0) {
+    const auto& src = *static_cast<const std::vector<std::vector<uint8_t>>*>(
+        cluster_->ptrs_[call.serving_for]);
+    for (int r = 0; r < w; ++r) {
+      if (r != call.serving_for) tally.extra_sent += src[r].size();
+    }
+  }
+  DebugCheckByteSymmetry(tally.sent, tally.received);
   VERO_RETURN_IF_ERROR(Rendezvous(&serial));
-  Charge(CollectiveOp::kAllToAll, sent, received);
-  return ApplyFaults(CollectiveOp::kAllToAll, decision, sent, received);
+  return FinishCollective(kOp, policy, decision, call, tally);
 }
 
-// ---- Straggler-mitigated collectives --------------------------------------
+// ---- Straggler-mitigation plan and the policy epilogue ----------------------
 
 void Cluster::PlanMitigation(const MitigationOptions& opts) {
   ClassifyStragglers(opts, delay_slots_, stale_streaks_, &mit_class_,
@@ -786,6 +931,7 @@ WorkerContext::MitigatedCall WorkerContext::ReadMitigationPlan(
   // someone; a forced-sync or over-budget straggler makes the round strict
   // (its full delay subsumes the deadline on the critical path).
   call.any_late = deferred > 0;
+  call.klass = cluster_->mit_class_.data();
   if (outcome != nullptr) {
     outcome->self_deferred = call.my == RankClass::kDeferred;
     outcome->self_forced = call.my == RankClass::kForced;
@@ -802,13 +948,24 @@ WorkerContext::MitigatedCall WorkerContext::ReadMitigationPlan(
   return call;
 }
 
+Status WorkerContext::FinishCollective(CollectiveOp op,
+                                       const CollectivePolicy& policy,
+                                       const FaultDecision& decision,
+                                       const MitigatedCall& call,
+                                       const CallTally& tally) {
+  Charge(op, tally.sent, tally.received);
+  if (policy.codec.enabled()) RecordCompression(op, tally);
+  if (!policy.mitigation.enabled()) {
+    return ApplyFaults(op, decision, tally.sent, tally.received);
+  }
+  return FinishMitigated(op, policy.mitigation, decision, call, tally);
+}
+
 Status WorkerContext::FinishMitigated(CollectiveOp op,
                                       const MitigationOptions& opts,
                                       FaultDecision decision,
                                       const MitigatedCall& call,
-                                      uint64_t extra_sent,
-                                      uint64_t extra_received, uint64_t sent,
-                                      uint64_t received, double deferred_mass) {
+                                      const CallTally& tally) {
   ObsHandles* oh = nullptr;
   if constexpr (obs::kObsEnabled) {
     if (obs_handles_ != nullptr) {
@@ -826,7 +983,7 @@ Status WorkerContext::FinishMitigated(CollectiveOp op,
       if (oh != nullptr) {
         oh->stale_deferred->Increment();
         oh->stale_deferred_seconds->Observe(decision.delay_seconds);
-        oh->stale_deferred_mass->Observe(deferred_mass);
+        oh->stale_deferred_mass->Observe(tally.deferred_mass);
       }
       decision.delay_seconds = 0.0;
       break;
@@ -860,6 +1017,8 @@ Status WorkerContext::FinishMitigated(CollectiveOp op,
     // duplicated volume crossed the wire, so it lands in bytes_sent /
     // bytes_received (and the per-op counters, keeping the registry's per-op
     // sums exact) and is isolated as speculative waste.
+    const uint64_t extra_sent = tally.extra_sent;
+    const uint64_t extra_received = tally.extra_received;
     stats_.bytes_sent += extra_sent;
     stats_.bytes_received += extra_received;
     stats_.speculative_bytes +=
@@ -878,517 +1037,7 @@ Status WorkerContext::FinishMitigated(CollectiveOp op,
       oh->op_bytes_received[i]->Add(extra_received);
     }
   }
-  return ApplyFaults(op, decision, sent, received);
-}
-
-Status WorkerContext::AllReduceBoundedSum(std::span<double> data,
-                                          const MitigationOptions& opts,
-                                          MitigationOutcome* outcome) {
-  const int w = world_size();
-  if (outcome != nullptr) {
-    *outcome = MitigationOutcome{};
-    outcome->contributed.assign(w, 1);
-  }
-  if (!opts.enabled() || w == 1) return AllReduceSum(data);
-
-  FaultDecision decision;
-  VERO_RETURN_IF_ERROR(Prepare(CollectiveOp::kAllReduceSum, &decision));
-  cluster_->mutable_ptrs_[rank_] = data.data();
-  cluster_->sizes_[rank_] = data.size();
-  cluster_->delay_slots_[rank_] = decision.delay_seconds;
-  bool serial = false;
-  VERO_RETURN_IF_ERROR(Rendezvous(&serial));
-  if (serial) {
-    cluster_->PlanMitigation(opts);
-    const size_t n = cluster_->sizes_[0];
-    for (int r = 1; r < w; ++r) VERO_CHECK_EQ(cluster_->sizes_[r], n);
-    cluster_->reduce_buffer_.assign(n, 0.0);
-    for (int r = 0; r < w; ++r) {
-      if (cluster_->mit_class_[r] == RankClass::kDeferred) continue;
-      const double* src = static_cast<const double*>(cluster_->mutable_ptrs_[r]);
-      for (size_t i = 0; i < n; ++i) cluster_->reduce_buffer_[i] += src[i];
-    }
-  }
-  VERO_RETURN_IF_ERROR(Rendezvous(&serial));
-  const MitigatedCall call = ReadMitigationPlan(outcome);
-  double deferred_mass = 0.0;
-  if (call.my == RankClass::kDeferred) {
-    // The dropped contribution, measured before the copy-out overwrites it.
-    for (double v : data) deferred_mass += v;
-  }
-  std::memcpy(data.data(), cluster_->reduce_buffer_.data(),
-              data.size() * sizeof(double));
-  MaybeSilentCorrupt(decision, data);
-  VERO_RETURN_IF_ERROR(Rendezvous(&serial));
-
-  // Volume is charged exactly as in the strict collective: a late payload
-  // still crosses the wire, it is just dropped on arrival.
-  const uint64_t bytes = data.size() * sizeof(double);
-  const uint64_t wire = 2 * bytes * (w - 1) / w;
-  const uint64_t extra = call.serving_for >= 0 ? wire : 0;
-  Charge(CollectiveOp::kAllReduceSum, wire, wire);
-  return FinishMitigated(CollectiveOp::kAllReduceSum, opts, decision, call,
-                         extra, extra, wire, wire, deferred_mass);
-}
-
-Status WorkerContext::AllGatherBounded(const std::vector<uint8_t>& mine,
-                                       std::vector<std::vector<uint8_t>>* all,
-                                       const MitigationOptions& opts,
-                                       MitigationOutcome* outcome) {
-  const int w = world_size();
-  if (outcome != nullptr) {
-    *outcome = MitigationOutcome{};
-    outcome->contributed.assign(w, 1);
-  }
-  if (!opts.enabled() || w == 1) return AllGather(mine, all);
-
-  FaultDecision decision;
-  VERO_RETURN_IF_ERROR(Prepare(CollectiveOp::kAllGather, &decision));
-  all->assign(w, {});
-  cluster_->ptrs_[rank_] = &mine;
-  cluster_->delay_slots_[rank_] = decision.delay_seconds;
-  bool serial = false;
-  VERO_RETURN_IF_ERROR(Rendezvous(&serial));
-  if (serial) cluster_->PlanMitigation(opts);
-  VERO_RETURN_IF_ERROR(Rendezvous(&serial));
-  const MitigatedCall call = ReadMitigationPlan(outcome);
-  uint64_t received = 0;
-  double deferred_mass = 0.0;
-  std::vector<std::vector<uint8_t>*> remote;
-  for (int r = 0; r < w; ++r) {
-    const auto* src =
-        static_cast<const std::vector<uint8_t>*>(cluster_->ptrs_[r]);
-    if (r != rank_) received += src->size();
-    if (cluster_->mit_class_[r] == RankClass::kDeferred) {
-      if (r == rank_) deferred_mass = static_cast<double>(src->size());
-      continue;  // dropped on arrival, on every rank — slot stays empty
-    }
-    (*all)[r] = *src;
-    if (r != rank_) remote.push_back(&(*all)[r]);
-  }
-  MaybeSilentCorrupt(decision, remote);
-  uint64_t extra_sent = 0;
-  if (call.serving_for >= 0) {
-    const auto* src = static_cast<const std::vector<uint8_t>*>(
-        cluster_->ptrs_[call.serving_for]);
-    extra_sent = src->size() * (w - 1);
-  }
-  VERO_RETURN_IF_ERROR(Rendezvous(&serial));
-  const uint64_t sent = mine.size() * (w - 1);
-  Charge(CollectiveOp::kAllGather, sent, received);
-  return FinishMitigated(CollectiveOp::kAllGather, opts, decision, call,
-                         extra_sent, 0, sent, received, deferred_mass);
-}
-
-Status WorkerContext::AllToAllBounded(
-    std::vector<std::vector<uint8_t>> to_each,
-    std::vector<std::vector<uint8_t>>* from_each,
-    const MitigationOptions& opts, MitigationOutcome* outcome) {
-  const int w = world_size();
-  if (outcome != nullptr) {
-    *outcome = MitigationOutcome{};
-    outcome->contributed.assign(w, 1);
-  }
-  if (!opts.enabled() || w == 1) return AllToAll(std::move(to_each), from_each);
-
-  FaultDecision decision;
-  VERO_RETURN_IF_ERROR(Prepare(CollectiveOp::kAllToAll, &decision));
-  VERO_CHECK_EQ(static_cast<int>(to_each.size()), w);
-  from_each->assign(w, {});
-  cluster_->ptrs_[rank_] = &to_each;
-  cluster_->delay_slots_[rank_] = decision.delay_seconds;
-  bool serial = false;
-  VERO_RETURN_IF_ERROR(Rendezvous(&serial));
-  if (serial) cluster_->PlanMitigation(opts);
-  VERO_RETURN_IF_ERROR(Rendezvous(&serial));
-  const MitigatedCall call = ReadMitigationPlan(outcome);
-  uint64_t sent = 0, received = 0;
-  double deferred_mass = 0.0;
-  std::vector<std::vector<uint8_t>*> remote;
-  for (int r = 0; r < w; ++r) {
-    const auto* src = static_cast<const std::vector<std::vector<uint8_t>>*>(
-        cluster_->ptrs_[r]);
-    if (r != rank_) received += (*src)[rank_].size();
-    // A deferred rank's buffers are dropped everywhere, self-slice included,
-    // so receivers that skip non-contributors stay replicated-deterministic.
-    if (cluster_->mit_class_[r] == RankClass::kDeferred) continue;
-    (*from_each)[r] = (*src)[rank_];
-    if (r != rank_) remote.push_back(&(*from_each)[r]);
-  }
-  MaybeSilentCorrupt(decision, remote);
-  for (int r = 0; r < w; ++r) {
-    if (r != rank_) sent += to_each[r].size();
-  }
-  if (call.my == RankClass::kDeferred) {
-    for (const auto& buf : to_each) {
-      deferred_mass += static_cast<double>(buf.size());
-    }
-  }
-  uint64_t extra_sent = 0;
-  if (call.serving_for >= 0) {
-    const auto* src = static_cast<const std::vector<std::vector<uint8_t>>*>(
-        cluster_->ptrs_[call.serving_for]);
-    for (int r = 0; r < w; ++r) {
-      if (r != call.serving_for) extra_sent += (*src)[r].size();
-    }
-  }
-  VERO_RETURN_IF_ERROR(Rendezvous(&serial));
-  Charge(CollectiveOp::kAllToAll, sent, received);
-  return FinishMitigated(CollectiveOp::kAllToAll, opts, decision, call,
-                         extra_sent, 0, sent, received, deferred_mass);
-}
-
-// ---- Compressed (codec) collectives ---------------------------------------
-//
-// Same rendezvous structure and CollectiveOp stream as the uncompressed
-// collectives — only the bytes that cross the (simulated) wire change. The
-// serial reduction decodes rank frames in rank order 0..W-1, which for the
-// lossless modes reproduces the dense summation order bit-for-bit.
-
-Status WorkerContext::AllReduceSumCodec(std::span<double> data,
-                                        const CodecSpec& codec) {
-  if (!codec.enabled()) return AllReduceSum(data);
-  FaultDecision decision;
-  VERO_RETURN_IF_ERROR(Prepare(CollectiveOp::kAllReduceSum, &decision));
-  const int w = world_size();
-  if (w == 1) return ApplyFaults(CollectiveOp::kAllReduceSum, decision, 0, 0);
-
-  CodecStats cstats;
-  std::vector<uint8_t> frame;
-  CodecEncode(data, codec, &frame, &cstats);
-  cluster_->ptrs_[rank_] = &frame;
-  cluster_->sizes_[rank_] = frame.size();
-  bool serial = false;
-  VERO_RETURN_IF_ERROR(Rendezvous(&serial));
-  if (serial) {
-    const size_t n = data.size();
-    cluster_->reduce_buffer_.assign(n, 0.0);
-    std::vector<double> decoded;
-    for (int r = 0; r < w; ++r) {
-      const auto* src =
-          static_cast<const std::vector<uint8_t>*>(cluster_->ptrs_[r]);
-      VERO_CHECK_OK(CodecDecode(*src, &decoded));
-      VERO_CHECK_EQ(decoded.size(), n);
-      for (size_t i = 0; i < n; ++i) cluster_->reduce_buffer_[i] += decoded[i];
-    }
-  }
-  VERO_RETURN_IF_ERROR(Rendezvous(&serial));
-  std::memcpy(data.data(), cluster_->reduce_buffer_.data(),
-              data.size() * sizeof(double));
-  MaybeSilentCorrupt(decision, data);
-  // All frame sizes were published before the first rendezvous, so this
-  // read is race-free and identical on every rank.
-  uint64_t total_encoded = 0;
-  for (int r = 0; r < w; ++r) total_encoded += cluster_->sizes_[r];
-  DebugCheckCodecSymmetry(total_encoded, total_encoded);
-  VERO_RETURN_IF_ERROR(Rendezvous(&serial));
-
-  // Ring all-reduce over encoded frames: the dense formula with the
-  // per-rank buffer size replaced by the mean encoded frame size (the ring
-  // moves everyone's data through everyone, so the mean is what each link
-  // carries). Equal frames reduce exactly to the dense accounting.
-  const uint64_t raw_bytes = data.size() * sizeof(double);
-  const uint64_t raw_wire = 2 * raw_bytes * (w - 1) / w;
-  const uint64_t wire = 2 * (total_encoded / w) * (w - 1) / w;
-  Charge(CollectiveOp::kAllReduceSum, wire, wire);
-  RecordCodec(CollectiveOp::kAllReduceSum, raw_wire, raw_wire, wire, wire,
-              cstats);
-  return ApplyFaults(CollectiveOp::kAllReduceSum, decision, wire, wire);
-}
-
-Status WorkerContext::AllGatherCodec(const std::vector<uint8_t>& mine,
-                                     std::vector<std::vector<uint8_t>>* all,
-                                     const CodecSpec& codec) {
-  if (!codec.enabled()) return AllGather(mine, all);
-  FaultDecision decision;
-  VERO_RETURN_IF_ERROR(Prepare(CollectiveOp::kAllGather, &decision));
-  const int w = world_size();
-  all->assign(w, {});
-  if (w == 1) {
-    (*all)[0] = mine;
-    return ApplyFaults(CollectiveOp::kAllGather, decision, 0, 0);
-  }
-  CodecStats cstats;
-  std::vector<uint8_t> frame;
-  CodecEncodeBytes(mine, codec, &frame, &cstats);
-  cluster_->ptrs_[rank_] = &frame;
-  bool serial = false;
-  VERO_RETURN_IF_ERROR(Rendezvous(&serial));
-  uint64_t sent = 0, received = 0, raw_received = 0;
-  std::vector<std::vector<uint8_t>*> remote;
-  for (int r = 0; r < w; ++r) {
-    const auto* src =
-        static_cast<const std::vector<uint8_t>*>(cluster_->ptrs_[r]);
-    // Every rank decodes every frame — its own included — so a lossy
-    // codec's reconstruction is replicated-deterministic cluster-wide.
-    VERO_CHECK_OK(CodecDecodeBytes(*src, &(*all)[r]));
-    if (r != rank_) {
-      received += src->size();
-      raw_received += (*all)[r].size();
-      remote.push_back(&(*all)[r]);
-    }
-  }
-  MaybeSilentCorrupt(decision, remote);
-  sent = frame.size() * (w - 1);
-  DebugCheckCodecSymmetry(sent, received);
-  VERO_RETURN_IF_ERROR(Rendezvous(&serial));
-  Charge(CollectiveOp::kAllGather, sent, received);
-  RecordCodec(CollectiveOp::kAllGather, mine.size() * (w - 1), raw_received,
-              sent, received, cstats);
-  return ApplyFaults(CollectiveOp::kAllGather, decision, sent, received);
-}
-
-Status WorkerContext::AllToAllCodec(std::vector<std::vector<uint8_t>> to_each,
-                                    std::vector<std::vector<uint8_t>>* from_each,
-                                    const CodecSpec& codec) {
-  if (!codec.enabled()) return AllToAll(std::move(to_each), from_each);
-  FaultDecision decision;
-  VERO_RETURN_IF_ERROR(Prepare(CollectiveOp::kAllToAll, &decision));
-  const int w = world_size();
-  VERO_CHECK_EQ(static_cast<int>(to_each.size()), w);
-  from_each->assign(w, {});
-  if (w == 1) {
-    (*from_each)[0] = std::move(to_each[0]);
-    return ApplyFaults(CollectiveOp::kAllToAll, decision, 0, 0);
-  }
-  CodecStats cstats;
-  std::vector<std::vector<uint8_t>> frames(w);
-  for (int r = 0; r < w; ++r) {
-    CodecEncodeBytes(to_each[r], codec, &frames[r], &cstats);
-  }
-  cluster_->ptrs_[rank_] = &frames;
-  bool serial = false;
-  VERO_RETURN_IF_ERROR(Rendezvous(&serial));
-  uint64_t sent = 0, received = 0, raw_sent = 0, raw_received = 0;
-  std::vector<std::vector<uint8_t>*> remote;
-  for (int r = 0; r < w; ++r) {
-    const auto* src = static_cast<const std::vector<std::vector<uint8_t>>*>(
-        cluster_->ptrs_[r]);
-    VERO_CHECK_OK(CodecDecodeBytes((*src)[rank_], &(*from_each)[r]));
-    if (r != rank_) {
-      received += (*src)[rank_].size();
-      raw_received += (*from_each)[r].size();
-      remote.push_back(&(*from_each)[r]);
-    }
-  }
-  for (int r = 0; r < w; ++r) {
-    if (r != rank_) {
-      sent += frames[r].size();
-      raw_sent += to_each[r].size();
-    }
-  }
-  MaybeSilentCorrupt(decision, remote);
-  DebugCheckCodecSymmetry(sent, received);
-  VERO_RETURN_IF_ERROR(Rendezvous(&serial));
-  Charge(CollectiveOp::kAllToAll, sent, received);
-  RecordCodec(CollectiveOp::kAllToAll, raw_sent, raw_received, sent, received,
-              cstats);
-  return ApplyFaults(CollectiveOp::kAllToAll, decision, sent, received);
-}
-
-Status WorkerContext::AllReduceBoundedSumCodec(std::span<double> data,
-                                               const CodecSpec& codec,
-                                               const MitigationOptions& opts,
-                                               MitigationOutcome* outcome) {
-  if (!codec.enabled()) return AllReduceBoundedSum(data, opts, outcome);
-  const int w = world_size();
-  if (outcome != nullptr) {
-    *outcome = MitigationOutcome{};
-    outcome->contributed.assign(w, 1);
-  }
-  if (!opts.enabled() || w == 1) return AllReduceSumCodec(data, codec);
-
-  FaultDecision decision;
-  VERO_RETURN_IF_ERROR(Prepare(CollectiveOp::kAllReduceSum, &decision));
-  CodecStats cstats;
-  std::vector<uint8_t> frame;
-  CodecEncode(data, codec, &frame, &cstats);
-  cluster_->ptrs_[rank_] = &frame;
-  cluster_->sizes_[rank_] = frame.size();
-  cluster_->delay_slots_[rank_] = decision.delay_seconds;
-  bool serial = false;
-  VERO_RETURN_IF_ERROR(Rendezvous(&serial));
-  if (serial) {
-    cluster_->PlanMitigation(opts);
-    const size_t n = data.size();
-    cluster_->reduce_buffer_.assign(n, 0.0);
-    std::vector<double> decoded;
-    for (int r = 0; r < w; ++r) {
-      if (cluster_->mit_class_[r] == RankClass::kDeferred) continue;
-      const auto* src =
-          static_cast<const std::vector<uint8_t>*>(cluster_->ptrs_[r]);
-      VERO_CHECK_OK(CodecDecode(*src, &decoded));
-      VERO_CHECK_EQ(decoded.size(), n);
-      for (size_t i = 0; i < n; ++i) cluster_->reduce_buffer_[i] += decoded[i];
-    }
-  }
-  VERO_RETURN_IF_ERROR(Rendezvous(&serial));
-  const MitigatedCall call = ReadMitigationPlan(outcome);
-  double deferred_mass = 0.0;
-  if (call.my == RankClass::kDeferred) {
-    for (double v : data) deferred_mass += v;
-  }
-  std::memcpy(data.data(), cluster_->reduce_buffer_.data(),
-              data.size() * sizeof(double));
-  MaybeSilentCorrupt(decision, data);
-  // A deferred rank's frame still crossed the wire (it is just dropped on
-  // arrival), so every published frame counts toward the ring volume.
-  uint64_t total_encoded = 0;
-  for (int r = 0; r < w; ++r) total_encoded += cluster_->sizes_[r];
-  DebugCheckCodecSymmetry(total_encoded, total_encoded);
-  VERO_RETURN_IF_ERROR(Rendezvous(&serial));
-
-  const uint64_t raw_bytes = data.size() * sizeof(double);
-  const uint64_t raw_wire = 2 * raw_bytes * (w - 1) / w;
-  const uint64_t wire = 2 * (total_encoded / w) * (w - 1) / w;
-  const uint64_t extra = call.serving_for >= 0 ? wire : 0;
-  Charge(CollectiveOp::kAllReduceSum, wire, wire);
-  RecordCodec(CollectiveOp::kAllReduceSum, raw_wire, raw_wire, wire, wire,
-              cstats);
-  return FinishMitigated(CollectiveOp::kAllReduceSum, opts, decision, call,
-                         extra, extra, wire, wire, deferred_mass);
-}
-
-Status WorkerContext::AllGatherBoundedCodec(
-    const std::vector<uint8_t>& mine, std::vector<std::vector<uint8_t>>* all,
-    const CodecSpec& codec, const MitigationOptions& opts,
-    MitigationOutcome* outcome) {
-  if (!codec.enabled()) return AllGatherBounded(mine, all, opts, outcome);
-  const int w = world_size();
-  if (outcome != nullptr) {
-    *outcome = MitigationOutcome{};
-    outcome->contributed.assign(w, 1);
-  }
-  if (!opts.enabled() || w == 1) return AllGatherCodec(mine, all, codec);
-
-  FaultDecision decision;
-  VERO_RETURN_IF_ERROR(Prepare(CollectiveOp::kAllGather, &decision));
-  all->assign(w, {});
-  CodecStats cstats;
-  std::vector<uint8_t> frame;
-  CodecEncodeBytes(mine, codec, &frame, &cstats);
-  cluster_->ptrs_[rank_] = &frame;
-  cluster_->delay_slots_[rank_] = decision.delay_seconds;
-  bool serial = false;
-  VERO_RETURN_IF_ERROR(Rendezvous(&serial));
-  if (serial) cluster_->PlanMitigation(opts);
-  VERO_RETURN_IF_ERROR(Rendezvous(&serial));
-  const MitigatedCall call = ReadMitigationPlan(outcome);
-  uint64_t received = 0, raw_received = 0;
-  double deferred_mass = 0.0;
-  std::vector<std::vector<uint8_t>*> remote;
-  for (int r = 0; r < w; ++r) {
-    const auto* src =
-        static_cast<const std::vector<uint8_t>*>(cluster_->ptrs_[r]);
-    if (r != rank_) {
-      received += src->size();
-      // The deferred rank's frame crossed the wire too; its raw-equivalent
-      // volume comes from the frame header (the payload is never decoded).
-      uint64_t raw = 0;
-      VERO_CHECK_OK(CodecFrameRawSize(*src, &raw));
-      raw_received += raw;
-    }
-    if (cluster_->mit_class_[r] == RankClass::kDeferred) {
-      if (r == rank_) deferred_mass = static_cast<double>(mine.size());
-      continue;  // dropped on arrival, on every rank — slot stays empty
-    }
-    VERO_CHECK_OK(CodecDecodeBytes(*src, &(*all)[r]));
-    if (r != rank_) remote.push_back(&(*all)[r]);
-  }
-  MaybeSilentCorrupt(decision, remote);
-  uint64_t extra_sent = 0;
-  if (call.serving_for >= 0) {
-    const auto* src = static_cast<const std::vector<uint8_t>*>(
-        cluster_->ptrs_[call.serving_for]);
-    extra_sent = src->size() * (w - 1);
-  }
-  const uint64_t sent = frame.size() * (w - 1);
-  DebugCheckCodecSymmetry(sent, received);
-  VERO_RETURN_IF_ERROR(Rendezvous(&serial));
-  Charge(CollectiveOp::kAllGather, sent, received);
-  RecordCodec(CollectiveOp::kAllGather, mine.size() * (w - 1), raw_received,
-              sent, received, cstats);
-  return FinishMitigated(CollectiveOp::kAllGather, opts, decision, call,
-                         extra_sent, 0, sent, received, deferred_mass);
-}
-
-Status WorkerContext::AllToAllBoundedCodec(
-    std::vector<std::vector<uint8_t>> to_each,
-    std::vector<std::vector<uint8_t>>* from_each, const CodecSpec& codec,
-    const MitigationOptions& opts, MitigationOutcome* outcome) {
-  if (!codec.enabled()) {
-    return AllToAllBounded(std::move(to_each), from_each, opts, outcome);
-  }
-  const int w = world_size();
-  if (outcome != nullptr) {
-    *outcome = MitigationOutcome{};
-    outcome->contributed.assign(w, 1);
-  }
-  if (!opts.enabled() || w == 1) {
-    return AllToAllCodec(std::move(to_each), from_each, codec);
-  }
-
-  FaultDecision decision;
-  VERO_RETURN_IF_ERROR(Prepare(CollectiveOp::kAllToAll, &decision));
-  VERO_CHECK_EQ(static_cast<int>(to_each.size()), w);
-  from_each->assign(w, {});
-  CodecStats cstats;
-  std::vector<std::vector<uint8_t>> frames(w);
-  for (int r = 0; r < w; ++r) {
-    CodecEncodeBytes(to_each[r], codec, &frames[r], &cstats);
-  }
-  cluster_->ptrs_[rank_] = &frames;
-  cluster_->delay_slots_[rank_] = decision.delay_seconds;
-  bool serial = false;
-  VERO_RETURN_IF_ERROR(Rendezvous(&serial));
-  if (serial) cluster_->PlanMitigation(opts);
-  VERO_RETURN_IF_ERROR(Rendezvous(&serial));
-  const MitigatedCall call = ReadMitigationPlan(outcome);
-  uint64_t sent = 0, received = 0, raw_sent = 0, raw_received = 0;
-  double deferred_mass = 0.0;
-  std::vector<std::vector<uint8_t>*> remote;
-  for (int r = 0; r < w; ++r) {
-    const auto* src = static_cast<const std::vector<std::vector<uint8_t>>*>(
-        cluster_->ptrs_[r]);
-    if (r != rank_) {
-      received += (*src)[rank_].size();
-      uint64_t raw = 0;
-      VERO_CHECK_OK(CodecFrameRawSize((*src)[rank_], &raw));
-      raw_received += raw;
-    }
-    // A deferred rank's buffers are dropped everywhere, self-slice included,
-    // so receivers that skip non-contributors stay replicated-deterministic.
-    if (cluster_->mit_class_[r] == RankClass::kDeferred) continue;
-    VERO_CHECK_OK(CodecDecodeBytes((*src)[rank_], &(*from_each)[r]));
-    if (r != rank_) remote.push_back(&(*from_each)[r]);
-  }
-  MaybeSilentCorrupt(decision, remote);
-  for (int r = 0; r < w; ++r) {
-    if (r != rank_) {
-      sent += frames[r].size();
-      raw_sent += to_each[r].size();
-    }
-  }
-  if (call.my == RankClass::kDeferred) {
-    for (const auto& buf : to_each) {
-      deferred_mass += static_cast<double>(buf.size());
-    }
-  }
-  uint64_t extra_sent = 0;
-  if (call.serving_for >= 0) {
-    const auto* src = static_cast<const std::vector<std::vector<uint8_t>>*>(
-        cluster_->ptrs_[call.serving_for]);
-    for (int r = 0; r < w; ++r) {
-      if (r != call.serving_for) extra_sent += (*src)[r].size();
-    }
-  }
-  DebugCheckCodecSymmetry(sent, received);
-  VERO_RETURN_IF_ERROR(Rendezvous(&serial));
-  Charge(CollectiveOp::kAllToAll, sent, received);
-  RecordCodec(CollectiveOp::kAllToAll, raw_sent, raw_received, sent, received,
-              cstats);
-  return FinishMitigated(CollectiveOp::kAllToAll, opts, decision, call,
-                         extra_sent, 0, sent, received, deferred_mass);
+  return ApplyFaults(op, decision, tally.sent, tally.received);
 }
 
 }  // namespace vero

@@ -28,6 +28,16 @@ class TraceBuffer;
 
 class Cluster;
 
+/// How AllReduceSum, AllGather and AllToAll run: straggler mitigation and
+/// payload compression, each inert unless enabled. With both off the
+/// collective is bit-identical to seed, metric name set included; each
+/// layer that is on adds its own accounting (staleness.* / speculation.*,
+/// comm.<Op>.raw_bytes / compressed_bytes) on top of the per-op counters.
+struct CollectivePolicy {
+  MitigationOptions mitigation = {};
+  CodecSpec codec = {};
+};
+
 /// Exception used to unwind an SPMD function when a collective fails.
 /// Cluster::TryRun converts it back into the worker's Status; Cluster::Run
 /// rethrows it on the caller thread. Thrown by the VERO_COMM_OK macro below.
@@ -63,6 +73,14 @@ class ClusterAbort : public std::exception {
 /// broadcast/gather), and simulated time follows the cluster's NetworkModel;
 /// the data itself moves through shared memory so results are exact.
 ///
+/// AllReduceSum, AllGather and AllToAll take a CollectivePolicy. Every
+/// policy reports the SAME CollectiveOp and op_id stream, so one FaultPlan
+/// replays identically across policies; the default (off) policy is the
+/// uncompressed, fully synchronous collective. Straggler semantics are in
+/// docs/straggler_mitigation.md, the codec frames in docs/wire_formats.md.
+/// `outcome`, when given, reports which ranks' payloads the result
+/// reflects (all of them unless bounded mitigation deferred someone).
+///
 /// Failure semantics: every collective returns a Status instead of
 /// deadlocking. kUnavailable means a participant (possibly this worker, via
 /// an injected fault) has failed and the cluster's rendezvous group is
@@ -78,8 +96,18 @@ class WorkerContext {
   int world_size() const;
 
   /// In-place element-wise sum across workers; everyone ends with the total.
-  /// Accounting: ring all-reduce, 2 * bytes * (W-1)/W sent per worker.
-  Status AllReduceSum(std::span<double> data);
+  /// Accounting: ring all-reduce, 2 * bytes * (W-1)/W sent per worker; with
+  /// the codec on, the same formula over the mean encoded frame. Lossless
+  /// codec modes produce sums bit-identical to the uncompressed reduction
+  /// (frames decode to the exact bit patterns and the serial reduction
+  /// visits ranks in order 0..W-1); kQuantized yields the same
+  /// reconstructed aggregate on every rank. Bounded mitigation excludes a
+  /// deferred rank's payload from the sum on EVERY rank; speculative
+  /// mitigation keeps the sum exact and charges the backup's re-served
+  /// share as waste.
+  Status AllReduceSum(std::span<double> data,
+                      const CollectivePolicy& policy = {},
+                      MitigationOutcome* outcome = nullptr);
 
   /// In-place reduce-scatter: after the call, worker r's slice
   /// [SliceBegin(n, r), SliceEnd(n, r)) of `data` holds the element-wise
@@ -92,9 +120,15 @@ class WorkerContext {
   size_t SliceEnd(size_t n, int rank) const;
 
   /// Every worker contributes `mine`; all receive all contributions indexed
-  /// by rank. Accounting: each worker sends its buffer to W-1 peers.
+  /// by rank. Accounting: each worker sends its buffer to W-1 peers. With
+  /// the codec on, every rank decodes every frame (its own included) so a
+  /// lossy reconstruction is replicated-deterministic. Under bounded
+  /// mitigation a deferred rank's slot stays empty on every rank
+  /// (outcome->contributed marks it).
   Status AllGather(const std::vector<uint8_t>& mine,
-                   std::vector<std::vector<uint8_t>>* all);
+                   std::vector<std::vector<uint8_t>>* all,
+                   const CollectivePolicy& policy = {},
+                   MitigationOutcome* outcome = nullptr);
 
   /// Root's `data` is copied to everyone. Accounting: root sends
   /// bytes * (W-1); others receive bytes.
@@ -108,95 +142,14 @@ class WorkerContext {
   /// Personalized all-to-all: `to_each[r]` goes to worker r; returns
   /// `from_each[s]` = buffer sent by worker s to this worker.
   /// to_each must have world_size entries (self-entry is delivered free).
+  /// With the codec on, each destination gets its own frame. Under bounded
+  /// mitigation every buffer sent BY a deferred rank is dropped cluster-wide
+  /// (its own self-slice included), so receivers that skip non-contributors
+  /// via outcome->contributed stay replicated-deterministic.
   Status AllToAll(std::vector<std::vector<uint8_t>> to_each,
-                  std::vector<std::vector<uint8_t>>* from_each);
-
-  // ---- Straggler-mitigated collectives -----------------------------------
-  // Each is a 1:1 replacement for its strict counterpart: it reports the
-  // SAME CollectiveOp to the fault injector / metrics / traces, so one
-  // FaultPlan replays with identical occurrence matching across strict,
-  // bounded-staleness, and speculative runs. With opts.mode == kStrict they
-  // delegate to the strict implementation (bit-identical to seed).
-  // Semantics and accounting are documented in docs/straggler_mitigation.md.
-
-  /// Bounded/speculative all-reduce. Bounded mode: ranks whose announced
-  /// delay exceeds opts.deadline_seconds (at most opts.max_stale_ranks, and
-  /// never past a rank's staleness_bound streak) are excluded from the sum
-  /// on EVERY rank; their delay is absorbed off the critical path while the
-  /// on-time ranks pay the deadline. Speculative mode: a backup re-serves
-  /// the slow rank's share (duplicated volume charged as waste) and the
-  /// result equals the strict sum exactly.
-  Status AllReduceBoundedSum(std::span<double> data,
-                             const MitigationOptions& opts,
-                             MitigationOutcome* outcome = nullptr);
-
-  /// Bounded/speculative all-gather. In bounded mode a deferred rank's slot
-  /// in `all` stays empty on every rank (outcome->contributed marks it);
-  /// speculative mode always delivers every payload.
-  Status AllGatherBounded(const std::vector<uint8_t>& mine,
-                          std::vector<std::vector<uint8_t>>* all,
-                          const MitigationOptions& opts,
-                          MitigationOutcome* outcome = nullptr);
-
-  /// Bounded/speculative personalized all-to-all. In bounded mode every
-  /// buffer sent BY a deferred rank is dropped cluster-wide (including its
-  /// own self-slice), so receivers that skip non-contributors via
-  /// outcome->contributed stay replicated-deterministic.
-  Status AllToAllBounded(std::vector<std::vector<uint8_t>> to_each,
-                         std::vector<std::vector<uint8_t>>* from_each,
-                         const MitigationOptions& opts,
-                         MitigationOutcome* outcome = nullptr);
-
-  // ---- Compressed (codec) collectives ------------------------------------
-  // Each is a 1:1 replacement for its uncompressed counterpart with a
-  // CollectiveCompression codec layered underneath: payloads are encoded
-  // (CodecEncode) before they cross the simulated wire and decoded on
-  // arrival, and the network model prices the encoded frames. Every variant
-  // reports the SAME CollectiveOp with the same rendezvous count, so one
-  // FaultPlan and one CollectiveOp stream replays identically across modes
-  // (op-id lockstep preserved). With codec.enabled() == false they delegate
-  // to the uncompressed implementation — bit-identical to seed, including
-  // the metric name set. Raw-vs-wire volume lands in CommStats
-  // codec_raw_bytes / codec_wire_bytes and the comm.<Op>.raw_bytes /
-  // comm.<Op>.compressed_bytes counters. See docs/wire_formats.md.
-
-  /// Compressed all-reduce. Lossless modes produce bit-identical sums to
-  /// AllReduceSum (frames decode to the exact bit patterns and the serial
-  /// reduction visits ranks in the same order); kQuantized yields the same
-  /// reconstructed aggregate on every rank. Accounting: ring all-reduce
-  /// over the mean encoded frame, 2 * (total_encoded/W) * (W-1)/W.
-  Status AllReduceSumCodec(std::span<double> data, const CodecSpec& codec);
-
-  /// Compressed all-gather; every rank decodes every frame (its own
-  /// included) so lossy reconstruction is replicated-deterministic.
-  Status AllGatherCodec(const std::vector<uint8_t>& mine,
-                        std::vector<std::vector<uint8_t>>* all,
-                        const CodecSpec& codec);
-
-  /// Compressed personalized all-to-all (per-destination frames; the self
-  /// frame is decoded locally and charged nothing, like the strict op).
-  Status AllToAllCodec(std::vector<std::vector<uint8_t>> to_each,
-                       std::vector<std::vector<uint8_t>>* from_each,
-                       const CodecSpec& codec);
-
-  /// Codec + straggler mitigation composed: delegates to
-  /// AllReduceBoundedSum when the codec is off and to AllReduceSumCodec
-  /// when mitigation is off, and otherwise applies both layers (deferred
-  /// frames still cross the wire and are charged at their encoded size).
-  Status AllReduceBoundedSumCodec(std::span<double> data,
-                                  const CodecSpec& codec,
-                                  const MitigationOptions& opts,
-                                  MitigationOutcome* outcome = nullptr);
-  Status AllGatherBoundedCodec(const std::vector<uint8_t>& mine,
-                               std::vector<std::vector<uint8_t>>* all,
-                               const CodecSpec& codec,
-                               const MitigationOptions& opts,
-                               MitigationOutcome* outcome = nullptr);
-  Status AllToAllBoundedCodec(std::vector<std::vector<uint8_t>> to_each,
-                              std::vector<std::vector<uint8_t>>* from_each,
-                              const CodecSpec& codec,
-                              const MitigationOptions& opts,
-                              MitigationOutcome* outcome = nullptr);
+                  std::vector<std::vector<uint8_t>>* from_each,
+                  const CollectivePolicy& policy = {},
+                  MitigationOutcome* outcome = nullptr);
 
   /// Pure synchronization (no bytes charged).
   Status Barrier();
@@ -261,20 +214,35 @@ class WorkerContext {
 
   void Charge(CollectiveOp op, uint64_t sent, uint64_t received);
 
+  /// What one policy collective moved, handed to FinishCollective. `sent`
+  /// / `received` are the wire bytes (encoded frames with the codec on);
+  /// the raw_* fields are their uncompressed equivalent (codec only); the
+  /// extra_* fields are a speculative backup's re-served share.
+  struct CallTally {
+    uint64_t sent = 0;
+    uint64_t received = 0;
+    uint64_t raw_sent = 0;
+    uint64_t raw_received = 0;
+    uint64_t extra_sent = 0;
+    uint64_t extra_received = 0;
+    /// Size of this rank's payload when bounded mitigation dropped it.
+    double deferred_mass = 0.0;
+    CodecStats codec;
+  };
+
   /// Codec accounting: raw (uncompressed-equivalent) vs wire (encoded)
-  /// volume of one codec collective, plus the encoder's per-block tallies.
+  /// volume of one collective run with the codec on, plus the encoder's
+  /// per-block tallies.
   /// Resolves the comm.<Op>.raw_bytes / compressed_bytes handles lazily so
   /// compression-off runs keep exactly the seed's metric name set.
-  void RecordCodec(CollectiveOp op, uint64_t raw_sent, uint64_t raw_received,
-                   uint64_t wire_sent, uint64_t wire_received,
-                   const CodecStats& cstats);
+  void RecordCompression(CollectiveOp op, const CallTally& tally);
 
-  /// Debug-build cluster-wide invariant: the bytes every sender Charge()d
-  /// equal the bytes receivers were charged for, i.e. sum over ranks of
-  /// (sent - received) is exactly zero for this op. Rides the instrument
-  /// channel (no bytes, invisible to the fault injector); compiled out
-  /// under NDEBUG.
-  void DebugCheckCodecSymmetry(uint64_t sent, uint64_t received);
+  /// Debug-build cluster-wide invariant of the policy collectives: the
+  /// bytes every sender Charge()d equal the bytes receivers were charged
+  /// for, i.e. sum over ranks of (sent - received) is exactly zero for this
+  /// op. Rides the instrument channel (no bytes, invisible to the fault
+  /// injector); compiled out under NDEBUG.
+  void DebugCheckByteSymmetry(uint64_t sent, uint64_t received);
 
   /// Consults the fault injector (if any) at the top of a collective.
   /// Returns non-OK if this worker is already dead or crashes now.
@@ -315,6 +283,7 @@ class WorkerContext {
   /// This rank's view of the serial participant's mitigation plan, read
   /// from the cluster's shared plan state (valid between the rendezvous
   /// that follows PlanMitigation and the final one). Also fills *outcome.
+  /// A default-constructed call (mitigation off) has every rank on time.
   struct MitigatedCall {
     RankClass my = RankClass::kOnTime;
     /// Rank this worker re-serves as a speculative backup, -1 if none.
@@ -322,20 +291,32 @@ class WorkerContext {
     /// True when any rank was late this call (bounded mode charges the
     /// on-time ranks the deadline only in that case).
     bool any_late = false;
+    /// Every rank's class this call; null when mitigation is off.
+    const RankClass* klass = nullptr;
+
+    /// True when rank r's payload is dropped from this call's result.
+    bool deferred(int r) const {
+      return klass != nullptr && klass[r] == RankClass::kDeferred;
+    }
   };
   MitigatedCall ReadMitigationPlan(MitigationOutcome* outcome) const;
 
-  /// Shared epilogue of the mitigated collectives: routes this rank's
-  /// injected delay to sim_seconds or absorbed_delay_seconds per its
-  /// RankClass, charges deadline waits and speculative duplicate volume
-  /// (mirrored into the per-op byte counters so exact accounting holds),
-  /// records the staleness.* / speculation.* metrics, then finishes via
-  /// ApplyFaults with the possibly-neutralized decision.
+  /// Shared epilogue of the policy collectives: charges the wire bytes,
+  /// records codec accounting when the codec is on, and ends through
+  /// FinishMitigated when mitigation is on, through ApplyFaults otherwise.
+  Status FinishCollective(CollectiveOp op, const CollectivePolicy& policy,
+                          const FaultDecision& decision,
+                          const MitigatedCall& call, const CallTally& tally);
+
+  /// Mitigation epilogue: routes this rank's injected delay to sim_seconds
+  /// or absorbed_delay_seconds per its RankClass, charges deadline waits and
+  /// speculative duplicate volume (mirrored into the per-op byte counters so
+  /// exact accounting holds), records the staleness.* / speculation.*
+  /// metrics, then finishes via ApplyFaults with the possibly-neutralized
+  /// decision.
   Status FinishMitigated(CollectiveOp op, const MitigationOptions& opts,
                          FaultDecision decision, const MitigatedCall& call,
-                         uint64_t extra_sent, uint64_t extra_received,
-                         uint64_t sent, uint64_t received,
-                         double deferred_mass);
+                         const CallTally& tally);
 
   Cluster* cluster_;
   int rank_;

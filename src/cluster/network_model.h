@@ -65,9 +65,10 @@ struct CommStats {
   uint64_t speculative_bytes = 0;
   double speculative_seconds = 0.0;
   /// Histogram-compression accounting (all zero with compression off). For
-  /// every codec collective, codec_raw_bytes counts the uncompressed payload
-  /// volume this rank exchanged (what the strict path would have shipped)
-  /// and codec_wire_bytes the encoded frames actually priced by the network
+  /// every collective run with the codec on (CollectivePolicy::codec),
+  /// codec_raw_bytes counts the uncompressed payload volume this rank
+  /// exchanged (what the uncompressed path would have shipped) and
+  /// codec_wire_bytes the encoded frames actually priced by the network
   /// model; the spread is the bytes the codec kept off the wire. Wire bytes
   /// are *also* counted in bytes_sent/bytes_received (they crossed the
   /// wire); these fields isolate the compression effect.

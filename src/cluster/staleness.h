@@ -5,30 +5,16 @@
 #include <span>
 #include <vector>
 
-namespace vero {
+#include "common/collective_modes.h"
 
-/// Straggler-mitigation policy of the bounded collectives
-/// (WorkerContext::AllReduceBoundedSum / AllGatherBounded / AllToAllBounded).
-/// See docs/straggler_mitigation.md for semantics and accuracy caveats.
-enum class MitigationMode {
-  /// Fully synchronous: the bounded collectives delegate to their strict
-  /// counterparts and the accounting is bit-identical to seed.
-  kStrict = 0,
-  /// Return once W - max_stale_ranks ranks contribute within
-  /// deadline_seconds; a late rank's contribution is dropped for the call
-  /// (its gradient mass reappears in the next layer's rebuilt histograms)
-  /// and its delay moves off the round's critical path.
-  kBoundedStaleness = 1,
-  /// A rank delayed beyond speculation_threshold_seconds has its share of
-  /// the op re-served by a deterministically chosen on-time backup; results
-  /// stay exact at the price of duplicated traffic (charged as waste).
-  kSpeculative = 2,
-};
+namespace vero {
 
 const char* MitigationModeToString(MitigationMode mode);
 
-/// Per-call knobs for a mitigated collective. Passed by the trainers,
-/// derived from GbdtParams (see MitigationFromParams in dist_common.h).
+/// Straggler half of a CollectivePolicy (communicator.h): the knobs of one
+/// AllReduceSum / AllGather / AllToAll call. The trainers derive it from
+/// GbdtParams (CollectivePolicyFromParams in dist_common.h); the default,
+/// kStrict, runs the fully synchronous collective.
 struct MitigationOptions {
   MitigationMode mode = MitigationMode::kStrict;
   /// kBoundedStaleness: how long the on-time ranks wait before closing the
@@ -48,7 +34,7 @@ struct MitigationOptions {
   bool enabled() const { return mode != MitigationMode::kStrict; }
 };
 
-/// How one rank was handled in one mitigated collective call.
+/// How one rank was handled in one collective call with mitigation on.
 enum class RankClass : uint8_t {
   kOnTime = 0,
   /// kBoundedStaleness: contribution excluded from this call's result; the
@@ -61,7 +47,7 @@ enum class RankClass : uint8_t {
   kSpeculated = 3,
 };
 
-/// What a mitigated collective did, reported to the caller. In strict mode
+/// What a policy collective did, reported to the caller. In strict mode
 /// (and for speculative calls) `contributed` is all-ones; in bounded mode a
 /// deferred rank's entry is 0 on EVERY rank, so replicated merge logic that
 /// skips non-contributors stays deterministic.

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <string>
 
+#include "common/collective_modes.h"
 #include "common/status.h"
 
 namespace vero {
@@ -15,27 +16,6 @@ enum class GrowthPolicy {
   /// Best-first: always split the leaf with the highest gain, up to
   /// max_leaves (LightGBM-style; reference trainer only).
   kLeafWise,
-};
-
-/// Straggler handling of the distributed trainers' aggregation collectives.
-/// Mirrors cluster-level MitigationMode without depending on src/cluster/
-/// (core stays collective-free); dist_common's MitigationFromParams maps it.
-enum class StragglerMitigation {
-  /// Fully synchronous aggregation (the paper's protocol; the default, and
-  /// bit-identical to builds that predate mitigation).
-  kStrict,
-  /// Bounded-staleness aggregation: close each aggregation once the on-time
-  /// ranks have contributed within staleness_deadline_seconds; a late
-  /// rank's histogram is dropped for the layer (its gradient mass re-enters
-  /// the next layer's rebuilt histograms) and never deferred more than
-  /// staleness_bound consecutive aggregations. Trades bounded accuracy
-  /// deviation for straggler immunity (docs/straggler_mitigation.md).
-  kBoundedStaleness,
-  /// Speculative re-execution: a rank delayed beyond
-  /// speculation_threshold_seconds has its block re-served by an idle
-  /// backup; models stay bit-identical to strict at the price of duplicated
-  /// traffic (surfaced as wasted_bytes / wasted_seconds).
-  kSpeculative,
 };
 
 /// End-to-end integrity auditing of the distributed trainers. Mirrors the
@@ -57,27 +37,6 @@ enum class IntegrityLevel {
   /// (FaultKind::kPoison) and triggers targeted layer recompute before
   /// escalating to checkpoint rollback (docs/fault_tolerance.md).
   kFull,
-};
-
-/// Histogram-payload compression of the distributed trainers' aggregation
-/// collectives. Mirrors the cluster-level CollectiveCompression codec modes
-/// without depending on src/cluster/ (core stays collective-free);
-/// dist_common's CodecFromParams maps it. See docs/wire_formats.md for the
-/// frame layout and docs/cost_model.md for the pricing.
-enum class HistogramCompression {
-  /// Dense raw doubles on the wire — bit-identical to builds that predate
-  /// the codec (the default).
-  kOff,
-  /// Lossless per-feature dense/sparse switch: blocks at or below the
-  /// density threshold ship varint bin indices + raw nonzero doubles.
-  kSparse,
-  /// kSparse with gap-coded (delta + varint) bin indices — strictly no
-  /// larger than kSparse on the wire, still lossless.
-  kSparseDelta,
-  /// 16-bit linear quantization with per-block scale/offset. Lossy (max abs
-  /// error <= range/65535/2 per block, deterministic reconstruction on
-  /// every rank); non-finite blocks fall back to lossless.
-  kQuantized,
 };
 
 /// Hyper-parameters for GBDT training, matching the paper's notation
@@ -133,7 +92,7 @@ struct GbdtParams {
 
   /// Aggregation-straggler policy; kStrict leaves training bit-identical to
   /// seed behavior.
-  StragglerMitigation straggler_mitigation = StragglerMitigation::kStrict;
+  MitigationMode straggler_mitigation = MitigationMode::kStrict;
   /// kBoundedStaleness: how long on-time ranks wait before closing an
   /// aggregation without its stragglers (simulated seconds).
   double staleness_deadline_seconds = 0.05;
@@ -164,7 +123,7 @@ struct GbdtParams {
   /// Codec applied to histogram payloads of the aggregation collectives;
   /// kOff leaves training bit-identical to seed behavior (no extra metric
   /// handles, identical bytes on the wire).
-  HistogramCompression compression = HistogramCompression::kOff;
+  CollectiveCompression compression = CollectiveCompression::kOff;
   /// A per-feature histogram block is encoded sparse iff its nonzero
   /// density is at or below this threshold; above it the block ships dense.
   double compression_density_threshold = 0.5;

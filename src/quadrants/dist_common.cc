@@ -59,47 +59,21 @@ std::vector<SplitCandidate> DeserializeSplits(
   return splits;
 }
 
-MitigationOptions MitigationFromParams(const GbdtParams& params) {
-  MitigationOptions opts;
-  switch (params.straggler_mitigation) {
-    case StragglerMitigation::kStrict:
-      opts.mode = MitigationMode::kStrict;
-      break;
-    case StragglerMitigation::kBoundedStaleness:
-      opts.mode = MitigationMode::kBoundedStaleness;
-      break;
-    case StragglerMitigation::kSpeculative:
-      opts.mode = MitigationMode::kSpeculative;
-      break;
-  }
-  opts.deadline_seconds = params.staleness_deadline_seconds;
-  opts.speculation_threshold_seconds = params.speculation_threshold_seconds;
-  opts.staleness_bound = params.staleness_bound;
-  opts.max_stale_ranks = params.staleness_max_stale_ranks;
-  return opts;
-}
-
-CodecSpec CodecFromParams(const GbdtParams& params, uint32_t dims) {
-  CodecSpec spec;
-  switch (params.compression) {
-    case HistogramCompression::kOff:
-      spec.mode = CollectiveCompression::kOff;
-      break;
-    case HistogramCompression::kSparse:
-      spec.mode = CollectiveCompression::kSparse;
-      break;
-    case HistogramCompression::kSparseDelta:
-      spec.mode = CollectiveCompression::kSparseDelta;
-      break;
-    case HistogramCompression::kQuantized:
-      spec.mode = CollectiveCompression::kQuantized;
-      break;
-  }
+CollectivePolicy CollectivePolicyFromParams(const GbdtParams& params,
+                                            uint32_t dims) {
+  CollectivePolicy policy;
+  policy.mitigation.mode = params.straggler_mitigation;
+  policy.mitigation.deadline_seconds = params.staleness_deadline_seconds;
+  policy.mitigation.speculation_threshold_seconds =
+      params.speculation_threshold_seconds;
+  policy.mitigation.staleness_bound = params.staleness_bound;
+  policy.mitigation.max_stale_ranks = params.staleness_max_stale_ranks;
+  policy.codec.mode = params.compression;
   // One feature's histogram per block: q bins x dims x (grad, hess).
-  spec.block_values =
+  policy.codec.block_values =
       static_cast<uint64_t>(params.num_candidate_splits) * dims * 2;
-  spec.density_threshold = params.compression_density_threshold;
-  return spec;
+  policy.codec.density_threshold = params.compression_density_threshold;
+  return policy;
 }
 
 void MergeBestSplits(const std::vector<SplitCandidate>& candidates,
@@ -127,8 +101,7 @@ DistTrainerBase::DistTrainerBase(WorkerContext& ctx,
       loss_(MakeLossForTask(task, num_classes)),
       finder_(options.params.reg_lambda, options.params.reg_gamma,
               options.params.min_split_gain),
-      mitigation_(MitigationFromParams(options.params)),
-      codec_(CodecFromParams(options.params, dims_)),
+      comm_policy_(CollectivePolicyFromParams(options.params, dims_)),
       auditor_(ctx, options.params.integrity,
                options.params.integrity_tolerance),
       model_(task, num_classes, options.params.learning_rate),

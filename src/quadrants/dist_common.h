@@ -30,16 +30,13 @@
 
 namespace vero {
 
-/// Maps GbdtParams' straggler-mitigation knobs onto the collective-level
-/// MitigationOptions consumed by the bounded collectives.
-MitigationOptions MitigationFromParams(const GbdtParams& params);
-
-/// Maps GbdtParams' histogram-compression knobs onto the collective-level
-/// CodecSpec consumed by the codec collectives. `dims` is the leaf-vector
-/// width: the per-block granularity is one feature's histogram
-/// (q * dims * 2 doubles), so the dense/sparse switch tracks per-feature
-/// nonzero density.
-CodecSpec CodecFromParams(const GbdtParams& params, uint32_t dims);
+/// Maps GbdtParams' straggler-mitigation and histogram-compression knobs
+/// onto the CollectivePolicy of the quadrants' aggregation collectives.
+/// `dims` is the leaf-vector width: the codec's block is one feature's
+/// histogram (q * dims * 2 doubles), so the dense/sparse switch tracks
+/// per-feature nonzero density.
+CollectivePolicy CollectivePolicyFromParams(const GbdtParams& params,
+                                            uint32_t dims);
 
 /// Per-round checkpoint policy for TrainDistributed.
 struct CheckpointOptions {
@@ -452,13 +449,12 @@ class DistTrainerBase {
   std::unique_ptr<Loss> loss_;
   SplitFinder finder_;
 
-  /// Straggler policy for the quadrant's aggregation collectives, derived
-  /// from options_.params (strict by default — bit-identical to seed).
-  MitigationOptions mitigation_;
-
-  /// Histogram-compression codec for the quadrant's histogram collectives,
-  /// derived from options_.params (off by default — bit-identical to seed).
-  CodecSpec codec_;
+  /// Policy of the quadrant's aggregation collectives, derived from
+  /// options_.params (strict and uncompressed by default — bit-identical to
+  /// seed). Histogram exchanges pass it whole; split exchanges pass only
+  /// its mitigation, since serialized split candidates are not packed
+  /// doubles the codec could encode.
+  CollectivePolicy comm_policy_;
 
   /// Cross-rank invariant auditor (inert at params.integrity == kOff:
   /// quadrant push sites and the audit points above all guard on

@@ -96,12 +96,13 @@ std::vector<SplitCandidate> Qd2Trainer::FindLayerSplits(
     // With a lossy codec the receiver reconstructs decode(encode(payload)),
     // so the sender must digest the same round-tripped bytes — otherwise a
     // clean quantized exchange would trip the pairwise digest check.
-    const bool lossy = CodecIsLossy(codec_) && codec_.enabled();
+    const CodecSpec& codec = comm_policy_.codec;
+    const bool lossy = CodecIsLossy(codec) && codec.enabled();
     std::vector<std::vector<uint8_t>> round_tripped;
     if (lossy) {
       round_tripped.resize(w);
       for (int g = 0; g < w; ++g) {
-        round_tripped[g] = CodecRoundTripBytes(to_dest[g], codec_);
+        round_tripped[g] = CodecRoundTripBytes(to_dest[g], codec);
       }
     }
     const std::vector<std::vector<uint8_t>>& seen =
@@ -123,8 +124,8 @@ std::vector<SplitCandidate> Qd2Trainer::FindLayerSplits(
   }
   std::vector<std::vector<uint8_t>> from_src;
   MitigationOutcome exchange_outcome;
-  VERO_COMM_OK(ctx_.AllToAllBoundedCodec(std::move(to_dest), &from_src, codec_,
-                                         mitigation_, &exchange_outcome));
+  VERO_COMM_OK(ctx_.AllToAll(std::move(to_dest), &from_src, comm_policy_,
+                             &exchange_outcome));
   if (auditor_.enabled()) {
     // Matching receive-side evidence; pairs whose slice was deferred by
     // straggler mitigation carry the skip sentinel on the receive side.
@@ -186,8 +187,9 @@ std::vector<SplitCandidate> Qd2Trainer::FindLayerSplits(
   // every rank, which keeps the split decision replicated).
   std::vector<std::vector<uint8_t>> all;
   MitigationOutcome best_outcome;
-  VERO_COMM_OK(ctx_.AllGatherBounded(SerializeSplits(local_best), &all,
-                                     mitigation_, &best_outcome));
+  VERO_COMM_OK(ctx_.AllGather(SerializeSplits(local_best), &all,
+                              {.mitigation = comm_policy_.mitigation},
+                              &best_outcome));
   std::vector<SplitCandidate> best;
   for (int r = 0; r < w; ++r) {
     if (!best_outcome.contributed[r]) continue;

@@ -48,7 +48,7 @@ std::vector<SplitCandidate> VerticalTrainerBase::FindLayerSplits(
     const std::vector<NodeId>& frontier) {
   const std::vector<SplitCandidate> local = LocalBestSplits(frontier);
   std::vector<SplitCandidate> best;
-  if (mitigation_.enabled()) {
+  if (comm_policy_.mitigation.enabled()) {
     // Mitigated path for both vertical flows: the master-coordinated
     // exchange has no useful bounded form (a master stalled on a straggler's
     // gather IS the bottleneck mitigation removes), so it degrades to the
@@ -58,8 +58,9 @@ std::vector<SplitCandidate> VerticalTrainerBase::FindLayerSplits(
     // placement broadcast that follows.
     std::vector<std::vector<uint8_t>> all;
     MitigationOutcome outcome;
-    VERO_COMM_OK(ctx_.AllGatherBounded(SerializeSplits(local), &all,
-                                       mitigation_, &outcome));
+    VERO_COMM_OK(ctx_.AllGather(SerializeSplits(local), &all,
+                                {.mitigation = comm_policy_.mitigation},
+                                &outcome));
     for (int r = 0; r < ctx_.world_size(); ++r) {
       if (!outcome.contributed[r]) continue;
       MergeBestSplits(DeserializeSplits(all[r]), &best);

@@ -118,10 +118,10 @@ TEST_P(AnatomyGridTest, AttributionExactAcrossMitigationModes) {
   if (!obs::kObsEnabled) GTEST_SKIP() << "built with VERO_DISABLE_OBS";
   const auto [quadrant, workers] = GetParam();
   const Dataset data = MakeData(600, 16, 414);
-  const StragglerMitigation modes[] = {StragglerMitigation::kStrict,
-                                       StragglerMitigation::kBoundedStaleness,
-                                       StragglerMitigation::kSpeculative};
-  for (StragglerMitigation mode : modes) {
+  const MitigationMode modes[] = {MitigationMode::kStrict,
+                                       MitigationMode::kBoundedStaleness,
+                                       MitigationMode::kSpeculative};
+  for (MitigationMode mode : modes) {
     DistTrainOptions options = SmallOptions();
     options.params.straggler_mitigation = mode;
     // A mid-run straggler makes the bounded / speculative paths take their

@@ -20,6 +20,8 @@
 #include "common/random.h"
 #include "core/model_io.h"
 #include "data/synthetic.h"
+#include "obs/report.h"
+#include "obs/trace.h"
 #include "quadrants/train_distributed.h"
 
 namespace vero {
@@ -277,7 +279,8 @@ TEST(CodecCollectiveTest, LosslessAllReduceMatchesStrictBitwise) {
     std::vector<std::vector<double>> data = coded;
     Cluster cluster(w);
     cluster.Run([&](WorkerContext& ctx) {
-      VERO_COMM_OK(ctx.AllReduceSumCodec(data[ctx.rank()], Spec(mode, 64)));
+      VERO_COMM_OK(
+          ctx.AllReduceSum(data[ctx.rank()], {.codec = Spec(mode, 64)}));
     });
     for (int r = 0; r < w; ++r) {
       EXPECT_TRUE(BitIdentical(strict[r], data[r]))
@@ -301,8 +304,8 @@ TEST(CodecCollectiveTest, OffModeDelegatesBitIdentically) {
   Cluster ca(w), cb(w);
   ca.Run([&](WorkerContext& ctx) { VERO_COMM_OK(ctx.AllReduceSum(a[ctx.rank()])); });
   cb.Run([&](WorkerContext& ctx) {
-    VERO_COMM_OK(
-        ctx.AllReduceSumCodec(b[ctx.rank()], Spec(CollectiveCompression::kOff)));
+    VERO_COMM_OK(ctx.AllReduceSum(
+        b[ctx.rank()], {.codec = Spec(CollectiveCompression::kOff)}));
   });
   for (int r = 0; r < w; ++r) EXPECT_TRUE(BitIdentical(a[r], b[r]));
   EXPECT_EQ(ca.TotalStats().bytes_sent, cb.TotalStats().bytes_sent);
@@ -316,8 +319,9 @@ TEST(CodecCollectiveTest, QuantizedAllReduceIsReplicatedDeterministic) {
   for (int r = 0; r < w; ++r) data[r] = MakeHistogram(512, 0.6, 51 + r);
   Cluster cluster(w);
   cluster.Run([&](WorkerContext& ctx) {
-    VERO_COMM_OK(ctx.AllReduceSumCodec(data[ctx.rank()],
-                                       Spec(CollectiveCompression::kQuantized, 64)));
+    VERO_COMM_OK(ctx.AllReduceSum(
+        data[ctx.rank()],
+        {.codec = Spec(CollectiveCompression::kQuantized, 64)}));
   });
   for (int r = 1; r < w; ++r) {
     EXPECT_TRUE(BitIdentical(data[0], data[r])) << "rank " << r;
@@ -348,10 +352,12 @@ TEST(CodecCollectiveTest, AllGatherAndAllToAllLosslessMatchStrict) {
   const CodecSpec spec = Spec(CollectiveCompression::kSparseDelta, 64);
   cc.Run([&](WorkerContext& ctx) {
     const int r = ctx.rank();
-    VERO_COMM_OK(ctx.AllGatherCodec(payload(r, r), &coded_gather[r], spec));
+    VERO_COMM_OK(
+        ctx.AllGather(payload(r, r), &coded_gather[r], {.codec = spec}));
     std::vector<std::vector<uint8_t>> to_each(w);
     for (int d = 0; d < w; ++d) to_each[d] = payload(r, d);
-    VERO_COMM_OK(ctx.AllToAllCodec(std::move(to_each), &coded_a2a[r], spec));
+    VERO_COMM_OK(
+        ctx.AllToAll(std::move(to_each), &coded_a2a[r], {.codec = spec}));
   });
   for (int r = 0; r < w; ++r) {
     EXPECT_EQ(strict_gather[r], coded_gather[r]) << "gather rank " << r;
@@ -360,10 +366,11 @@ TEST(CodecCollectiveTest, AllGatherAndAllToAllLosslessMatchStrict) {
   EXPECT_LT(cc.TotalStats().bytes_sent, sc.TotalStats().bytes_sent);
 }
 
-// One FaultPlan must replay identically across modes: the codec collectives
-// report the same CollectiveOp stream, so occurrence matching is unchanged —
-// a kCorrupt retry recharges the (smaller) encoded volume, a kDelay lands on
-// the same op, and a kSilentCorrupt lands in the decoded payload.
+// One FaultPlan must replay identically across modes: a collective reports
+// the same CollectiveOp stream whatever its codec, so occurrence matching is
+// unchanged — a kCorrupt retry recharges the (smaller) encoded volume, a
+// kDelay lands on the same op, and a kSilentCorrupt lands in the decoded
+// payload.
 TEST(CodecCollectiveTest, FaultPlanReplaysIdenticallyAcrossModes) {
   const int w = 3;
   const auto plan = [] {
@@ -386,7 +393,7 @@ TEST(CodecCollectiveTest, FaultPlanReplaysIdenticallyAcrossModes) {
     cluster.Run([&](WorkerContext& ctx) {
       for (int round = 0; round < 3; ++round) {
         CodecSpec spec = Spec(mode, 64);
-        VERO_COMM_OK(ctx.AllReduceSumCodec(data[ctx.rank()], spec));
+        VERO_COMM_OK(ctx.AllReduceSum(data[ctx.rank()], {.codec = spec}));
       }
     });
     Outcome out;
@@ -421,8 +428,10 @@ TEST(CodecCollectiveTest, ComposesWithBoundedStaleness) {
   for (int r = 0; r < w; ++r) data[r] = MakeHistogram(640, 0.05, 81 + r);
   std::vector<MitigationOutcome> outcomes(w);
   cluster.Run([&](WorkerContext& ctx) {
-    VERO_COMM_OK(ctx.AllReduceBoundedSumCodec(
-        data[ctx.rank()], Spec(CollectiveCompression::kSparseDelta, 64), opts,
+    VERO_COMM_OK(ctx.AllReduceSum(
+        data[ctx.rank()],
+        {.mitigation = opts,
+         .codec = Spec(CollectiveCompression::kSparseDelta, 64)},
         &outcomes[ctx.rank()]));
   });
   // Rank 2's contribution was deferred — identically on every rank — and
@@ -435,6 +444,196 @@ TEST(CodecCollectiveTest, ComposesWithBoundedStaleness) {
   EXPECT_TRUE(BitIdentical(data[0], data[2]));
   EXPECT_GT(cluster.TotalStats().absorbed_delay_seconds, 4.9);
   EXPECT_GT(cluster.TotalStats().codec_wire_bytes, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Policy grid: each collective under every mitigation x codec policy, with
+// one rank delayed. Every cell must report the same collective stream, the
+// lossless codec must not change what the mitigation delivers, and the
+// CommStats accounting of every cell is pinned to exact recorded values.
+// ---------------------------------------------------------------------------
+
+enum class GridOp { kAllReduceSum, kAllGather, kAllToAll };
+
+std::vector<uint8_t> PackedHistogram(size_t n, double density, uint64_t seed) {
+  const std::vector<double> values = MakeHistogram(n, density, seed);
+  std::vector<uint8_t> bytes(values.size() * sizeof(double));
+  std::memcpy(bytes.data(), values.data(), bytes.size());
+  return bytes;
+}
+
+MitigationOptions GridMitigation(MitigationMode mode) {
+  MitigationOptions opts;
+  opts.mode = mode;
+  opts.deadline_seconds = 0.01;
+  opts.speculation_threshold_seconds = 0.01;
+  return opts;
+}
+
+// One policy cell: per (round, rank) results and contributed vectors, each
+// rank's collective (name, op_id) stream, and the cluster-wide CommStats.
+struct GridCell {
+  std::vector<std::vector<std::vector<uint8_t>>> results;
+  std::vector<std::vector<uint8_t>> contributed;
+  std::vector<std::vector<std::pair<std::string, int64_t>>> ops;
+  CommStats total;
+};
+
+Status RunGridOp(WorkerContext& ctx, GridOp op, const CollectivePolicy& policy,
+                 int round, MitigationOutcome* outcome,
+                 std::vector<std::vector<uint8_t>>* result) {
+  const int w = ctx.world_size();
+  const int r = ctx.rank();
+  const uint64_t seed = 900 + 100 * static_cast<uint64_t>(round) + 10 * r;
+  switch (op) {
+    case GridOp::kAllReduceSum: {
+      std::vector<double> data = MakeHistogram(640, 0.05, seed);
+      const Status status = ctx.AllReduceSum(data, policy, outcome);
+      result->assign(1, std::vector<uint8_t>(data.size() * sizeof(double)));
+      std::memcpy((*result)[0].data(), data.data(), (*result)[0].size());
+      return status;
+    }
+    case GridOp::kAllGather:
+      return ctx.AllGather(PackedHistogram(320, 0.1, seed), result, policy,
+                           outcome);
+    case GridOp::kAllToAll: {
+      std::vector<std::vector<uint8_t>> to_each(w);
+      for (int d = 0; d < w; ++d) {
+        to_each[d] = PackedHistogram(96 + 32 * d, 0.1, seed + d);
+      }
+      return ctx.AllToAll(std::move(to_each), result, policy, outcome);
+    }
+  }
+  return Status::Internal("unknown grid op");
+}
+
+GridCell RunGridCell(GridOp op, CollectiveOp fault_op, MitigationMode mode,
+                     CollectiveCompression compression) {
+  const int w = 3, rounds = 2;
+  obs::ObsOptions obs_options;
+  obs_options.trace = true;
+  obs::RunObserver observer(obs_options);
+  Cluster cluster(w);
+  // Rank 2 straggles on the op's first occurrence only.
+  cluster.InstallFaultPlan(FaultPlan().Delay(2, fault_op, 0, /*seconds=*/5.0));
+  cluster.AttachObserver(&observer);
+  GridCell cell;
+  cell.results.assign(rounds * w, {});
+  cell.contributed.assign(rounds * w, {});
+  const CollectivePolicy policy{GridMitigation(mode), Spec(compression, 64)};
+  cluster.Run([&](WorkerContext& ctx) {
+    for (int round = 0; round < rounds; ++round) {
+      const size_t slot = static_cast<size_t>(round * w + ctx.rank());
+      MitigationOutcome outcome;
+      VERO_COMM_OK(
+          RunGridOp(ctx, op, policy, round, &outcome, &cell.results[slot]));
+      cell.contributed[slot] = outcome.contributed;
+    }
+  });
+  cell.ops.assign(w, {});
+  for (const obs::TraceEvent& ev : observer.trace().MergedEvents()) {
+    if (std::string(ev.category) != "collective") continue;
+    cell.ops[ev.rank].emplace_back(ev.name, ev.op_id);
+  }
+  cell.total = cluster.TotalStats();
+  return cell;
+}
+
+// Cluster-wide CommStats of one grid cell.
+struct GridStats {
+  uint64_t bytes_sent;
+  uint64_t bytes_received;
+  double sim_seconds;
+  double absorbed_delay_seconds;
+  double deadline_wait_seconds;
+  uint64_t speculative_bytes;
+  uint64_t codec_wire_bytes;
+  uint64_t codec_raw_bytes;
+};
+
+TEST(CodecCollectiveTest, PolicyGridKeepsStreamResultsAndAccounting) {
+  struct OpCase {
+    GridOp op;
+    CollectiveOp fault_op;
+    // [mitigation: strict, bounded, speculative][codec: off, sparse_delta]
+    GridStats expected[3][2];
+  };
+  // expected[m][k]: m = strict, bounded, speculative; k = codec off,
+  // sparse_delta.
+  const OpCase cases[] = {
+      {GridOp::kAllReduceSum, CollectiveOp::kAllReduceSum,
+       {{{40956u, 40956u, 5.0015276479999997, 0, 0, 0u, 0u, 0u},
+         {5940u, 5940u, 5.0012475199999997, 0, 0, 0u, 11880u, 81912u}},
+        {{40956u, 40956u, 0.021527648, 5, 0.02, 0u, 0u, 0u},
+         {5940u, 5940u, 0.021247519999999999, 5, 0.02, 0u, 11880u, 81912u}},
+        {{47782u, 47782u, 0.0017822560000000001, 5, 0, 6826u, 0u, 0u},
+         {6882u, 6882u, 0.0014550559999999999, 5, 0, 942u, 11880u, 81912u}}}},
+      {GridOp::kAllGather, CollectiveOp::kAllGather,
+       {{{30720u, 30720u, 5.0014457600000002, 0, 0, 0u, 0u, 0u},
+         {8238u, 8238u, 5.0012695760000003, 0, 0, 0u, 16476u, 61440u}},
+        {{30720u, 30720u, 0.021445760000000001, 5, 0.02, 0u, 0u, 0u},
+         {8238u, 8238u, 0.021269576000000002, 5, 0.02, 0u, 16476u, 61440u}},
+        {{35840u, 30720u, 0.0016867200000000003, 5, 0, 5120u, 0u, 0u},
+         {9392u, 8238u, 0.0014788080000000001, 5, 0, 1154u, 16476u, 61440u}}}},
+      {GridOp::kAllToAll, CollectiveOp::kAllToAll,
+       {{{12288u, 12288u, 5.0013105920000003, 0, 0, 0u, 0u, 0u},
+         {3130u, 3130u, 5.0012304399999996, 0, 0, 0u, 6260u, 24576u}},
+        {{12288u, 12288u, 0.021310592, 5, 0.02, 0u, 0u, 0u},
+         {3130u, 3130u, 0.021230439999999996, 5, 0.02, 0u, 6260u, 24576u}},
+        {{14080u, 12288u, 0.001524928, 5, 0, 1792u, 0u, 0u},
+         {3605u, 3130u, 0.00143424, 5, 0, 475u, 6260u, 24576u}}}},
+  };
+  const MitigationMode modes[] = {MitigationMode::kStrict,
+                                  MitigationMode::kBoundedStaleness,
+                                  MitigationMode::kSpeculative};
+  const CollectiveCompression codecs[] = {CollectiveCompression::kOff,
+                                          CollectiveCompression::kSparseDelta};
+  for (const OpCase& c : cases) {
+    GridCell cells[3][2];
+    for (int m = 0; m < 3; ++m) {
+      for (int k = 0; k < 2; ++k) {
+        cells[m][k] = RunGridCell(c.op, c.fault_op, modes[m], codecs[k]);
+      }
+    }
+    for (int m = 0; m < 3; ++m) {
+      const GridCell& off = cells[m][0];
+      for (int k = 0; k < 2; ++k) {
+        const std::string where =
+            std::string(CollectiveOpToString(c.fault_op)) +
+            " mitigation=" + MitigationModeToString(modes[m]) +
+            " codec=" + CollectiveCompressionToString(codecs[k]);
+        const GridCell& cell = cells[m][k];
+        // Same collective stream under every policy: one FaultPlan replays
+        // identically across them.
+        EXPECT_EQ(cell.total.num_ops, cells[0][0].total.num_ops) << where;
+        if (obs::kObsEnabled) {
+          EXPECT_EQ(cell.ops, cells[0][0].ops) << where;
+        }
+        // Only bounded mitigation drops the straggler (rank 2, round 0).
+        ASSERT_EQ(cell.contributed[0].size(), 3u) << where;
+        EXPECT_EQ(cell.contributed[0][2],
+                  modes[m] == MitigationMode::kBoundedStaleness ? 0 : 1)
+            << where;
+        // The lossless codec delivers exactly what the codec-off cell with
+        // the same mitigation delivers.
+        EXPECT_EQ(cell.results, off.results) << where;
+        EXPECT_EQ(cell.contributed, off.contributed) << where;
+
+        const GridStats& want = c.expected[m][k];
+        const CommStats& got = cell.total;
+        EXPECT_EQ(got.bytes_sent, want.bytes_sent) << where;
+        EXPECT_EQ(got.bytes_received, want.bytes_received) << where;
+        EXPECT_EQ(got.sim_seconds, want.sim_seconds) << where;
+        EXPECT_EQ(got.absorbed_delay_seconds, want.absorbed_delay_seconds)
+            << where;
+        EXPECT_EQ(got.deadline_wait_seconds, want.deadline_wait_seconds)
+            << where;
+        EXPECT_EQ(got.speculative_bytes, want.speculative_bytes) << where;
+        EXPECT_EQ(got.codec_wire_bytes, want.codec_wire_bytes) << where;
+        EXPECT_EQ(got.codec_raw_bytes, want.codec_raw_bytes) << where;
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -451,7 +650,7 @@ Dataset MakeData(uint32_t n, uint32_t d, double density, uint64_t seed) {
   return GenerateSynthetic(config);
 }
 
-DistTrainOptions SmallOptions(HistogramCompression compression,
+DistTrainOptions SmallOptions(CollectiveCompression compression,
                               uint32_t trees = 5, uint32_t layers = 4) {
   DistTrainOptions options;
   options.params.num_trees = trees;
@@ -471,13 +670,13 @@ TEST_P(QuadrantCodecTest, LosslessModesTrainBitIdenticalModels) {
 
   Cluster off_cluster(3);
   const DistResult off = TrainDistributed(
-      off_cluster, data, quadrant, SmallOptions(HistogramCompression::kOff));
+      off_cluster, data, quadrant, SmallOptions(CollectiveCompression::kOff));
   ASSERT_TRUE(off.status.ok()) << off.status.ToString();
   const std::string off_text = ModelToText(off.model);
   EXPECT_EQ(off_cluster.TotalStats().codec_wire_bytes, 0u);
 
-  for (const HistogramCompression mode :
-       {HistogramCompression::kSparse, HistogramCompression::kSparseDelta}) {
+  for (const CollectiveCompression mode :
+       {CollectiveCompression::kSparse, CollectiveCompression::kSparseDelta}) {
     Cluster cluster(3);
     const DistResult result =
         TrainDistributed(cluster, data, quadrant, SmallOptions(mode));
@@ -496,7 +695,7 @@ TEST_P(QuadrantCodecTest, QuantizedTrainsAValidModel) {
   const Dataset data = MakeData(800, 24, 0.1, 413);
   Cluster cluster(3);
   const DistResult result = TrainDistributed(
-      cluster, data, quadrant, SmallOptions(HistogramCompression::kQuantized));
+      cluster, data, quadrant, SmallOptions(CollectiveCompression::kQuantized));
   ASSERT_TRUE(result.status.ok()) << result.status.ToString();
   EXPECT_EQ(result.model.num_trees(), 5u);
   EXPECT_GT(cluster.TotalStats().codec_wire_bytes, 0u);
@@ -511,8 +710,8 @@ INSTANTIATE_TEST_SUITE_P(Quadrants, QuadrantCodecTest,
 // corruption of the decoded QD2 exchange still convicts the receiver.
 TEST(CodecIntegrityTest, QuantizedCleanRunHasNoViolations) {
   const Dataset data = MakeData(800, 24, 0.1, 421);
-  for (const HistogramCompression mode :
-       {HistogramCompression::kSparse, HistogramCompression::kQuantized}) {
+  for (const CollectiveCompression mode :
+       {CollectiveCompression::kSparse, CollectiveCompression::kQuantized}) {
     DistTrainOptions options = SmallOptions(mode);
     options.params.integrity = IntegrityLevel::kFull;
     Cluster cluster(3);
@@ -527,7 +726,7 @@ TEST(CodecIntegrityTest, QuantizedCleanRunHasNoViolations) {
 
 TEST(CodecIntegrityTest, SilentCorruptionStillBlamedUnderCompression) {
   const Dataset data = MakeData(800, 24, 0.1, 423);
-  DistTrainOptions options = SmallOptions(HistogramCompression::kSparseDelta);
+  DistTrainOptions options = SmallOptions(CollectiveCompression::kSparseDelta);
   options.params.integrity = IntegrityLevel::kChecksum;
   Cluster cluster(3);
   cluster.InstallFaultPlan(FaultPlan().SilentCorrupt(

@@ -1,5 +1,5 @@
 // Straggler mitigation: bounded-staleness aggregation and speculative
-// re-execution. Covers the deterministic classifier, the bounded collectives'
+// re-execution. Covers the deterministic classifier, the mitigated collectives'
 // exact accounting (staleness.* / speculation.* locked to the network cost
 // model), a property-based staleness-bound/mass-conservation sweep, and the
 // end-to-end fault-grid contract: strict mode stays bit-identical to seed
@@ -46,7 +46,7 @@ DistTrainOptions SmallOptions(uint32_t trees = 4, uint32_t layers = 4) {
   return options;
 }
 
-MitigationOptions Bounded(double deadline = 0.01, uint32_t bound = 2,
+MitigationOptions Stale(double deadline = 0.01, uint32_t bound = 2,
                           uint32_t max_stale = 1) {
   MitigationOptions opts;
   opts.mode = MitigationMode::kBoundedStaleness;
@@ -84,7 +84,7 @@ TEST(ClassifyStragglersTest, BoundedDefersWorstLateRankOnly) {
   std::vector<uint32_t> streaks = {0, 0, 0, 0};
   std::vector<RankClass> klass;
   std::vector<int> backup;
-  ClassifyStragglers(Bounded(/*deadline=*/0.05), delays, streaks, &klass,
+  ClassifyStragglers(Stale(/*deadline=*/0.05), delays, streaks, &klass,
                      &backup);
   // Budget is max_stale_ranks = 1: the worst straggler is deferred, the
   // second-worst falls back to strict behavior.
@@ -99,7 +99,7 @@ TEST(ClassifyStragglersTest, BudgetNeverExceedsWorldMinusOne) {
   std::vector<uint32_t> streaks = {0, 0, 0, 0};
   std::vector<RankClass> klass;
   std::vector<int> backup;
-  ClassifyStragglers(Bounded(0.05, 2, /*max_stale=*/8), delays, streaks,
+  ClassifyStragglers(Stale(0.05, 2, /*max_stale=*/8), delays, streaks,
                      &klass, &backup);
   int deferred = 0;
   for (RankClass k : klass) deferred += k == RankClass::kDeferred ? 1 : 0;
@@ -112,12 +112,12 @@ TEST(ClassifyStragglersTest, StreakAtBoundForcesSync) {
   std::vector<uint32_t> streaks = {0, 2, 0, 0};
   std::vector<RankClass> klass;
   std::vector<int> backup;
-  ClassifyStragglers(Bounded(0.05, /*bound=*/2), delays, streaks, &klass,
+  ClassifyStragglers(Stale(0.05, /*bound=*/2), delays, streaks, &klass,
                      &backup);
   EXPECT_EQ(klass[1], RankClass::kForced);
   // A forced sync consumes no budget: another late rank may still defer.
   std::vector<double> two_late = {0.0, 0.7, 0.4, 0.0};
-  ClassifyStragglers(Bounded(0.05, 2), two_late, streaks, &klass, &backup);
+  ClassifyStragglers(Stale(0.05, 2), two_late, streaks, &klass, &backup);
   EXPECT_EQ(klass[1], RankClass::kForced);
   EXPECT_EQ(klass[2], RankClass::kDeferred);
 }
@@ -171,8 +171,8 @@ TEST(BoundedCollectiveTest, StrictModeDelegatesBitIdentically) {
       std::vector<double> data(n, static_cast<double>(ctx.rank() + 1));
       MitigationOutcome outcome;
       if (use_bounded) {
-        VERO_COMM_OK(
-            ctx.AllReduceBoundedSum(data, MitigationOptions{}, &outcome));
+        VERO_COMM_OK(ctx.AllReduceSum(
+            data, {.mitigation = MitigationOptions{}}, &outcome));
         EXPECT_FALSE(outcome.self_deferred);
         EXPECT_EQ(outcome.contributed,
                   std::vector<uint8_t>(4, 1));
@@ -212,7 +212,8 @@ TEST(BoundedCollectiveTest, BoundedAccountingLockedToCostModel) {
   cluster.Run([&](WorkerContext& ctx) {
     std::vector<double> data(n, static_cast<double>(ctx.rank() + 1));
     MitigationOutcome outcome;
-    VERO_COMM_OK(ctx.AllReduceBoundedSum(data, Bounded(kDeadline), &outcome));
+    VERO_COMM_OK(
+        ctx.AllReduceSum(data, {.mitigation = Stale(kDeadline)}, &outcome));
     EXPECT_EQ(outcome.deferred_ranks, 1);
     EXPECT_EQ(outcome.self_deferred, ctx.rank() == 2);
     EXPECT_EQ(outcome.contributed[2], 0);
@@ -277,7 +278,8 @@ TEST(BoundedCollectiveTest, SpeculativeAccountingLockedToCostModel) {
   cluster.Run([&](WorkerContext& ctx) {
     std::vector<double> data(n, static_cast<double>(ctx.rank() + 1));
     MitigationOutcome outcome;
-    VERO_COMM_OK(ctx.AllReduceBoundedSum(data, Speculative(), &outcome));
+    VERO_COMM_OK(
+        ctx.AllReduceSum(data, {.mitigation = Speculative()}, &outcome));
     EXPECT_EQ(outcome.speculated_ranks, 1);
     EXPECT_EQ(outcome.self_speculated, ctx.rank() == 3);
     // Speculation keeps the data exact: every rank contributes.
@@ -329,16 +331,16 @@ TEST(BoundedCollectiveTest, ForcedSyncAtStalenessBound) {
                                .Delay(1, CollectiveOp::kAllReduceSum, 0, 0.5)
                                .Delay(1, CollectiveOp::kAllReduceSum, 1, 0.5));
   cluster.Run([&](WorkerContext& ctx) {
-    const MitigationOptions opts = Bounded(0.01, /*bound=*/1);
+    const MitigationOptions opts = Stale(0.01, /*bound=*/1);
     std::vector<double> data(8, static_cast<double>(ctx.rank() + 1));
     MitigationOutcome outcome;
-    VERO_COMM_OK(ctx.AllReduceBoundedSum(data, opts, &outcome));
+    VERO_COMM_OK(ctx.AllReduceSum(data, {.mitigation = opts}, &outcome));
     EXPECT_EQ(outcome.self_deferred, ctx.rank() == 1);
     for (double v : data) EXPECT_DOUBLE_EQ(v, 1.0 + 3.0 + 4.0);
     // Second late call: rank 1's streak hit the bound, so it is forced to
     // contribute (full strict price) instead of going stale again.
     std::vector<double> data2(8, static_cast<double>(ctx.rank() + 1));
-    VERO_COMM_OK(ctx.AllReduceBoundedSum(data2, opts, &outcome));
+    VERO_COMM_OK(ctx.AllReduceSum(data2, {.mitigation = opts}, &outcome));
     EXPECT_FALSE(outcome.self_deferred);
     EXPECT_EQ(outcome.self_forced, ctx.rank() == 1);
     for (double v : data2) EXPECT_DOUBLE_EQ(v, 1.0 + 2.0 + 3.0 + 4.0);
@@ -360,7 +362,8 @@ TEST(BoundedCollectiveTest, AllGatherBoundedDropsDeferredSlotEverywhere) {
         static_cast<uint8_t>(ctx.rank()));
     std::vector<std::vector<uint8_t>> all;
     MitigationOutcome outcome;
-    VERO_COMM_OK(ctx.AllGatherBounded(mine, &all, Bounded(0.01), &outcome));
+    VERO_COMM_OK(
+        ctx.AllGather(mine, &all, {.mitigation = Stale(0.01)}, &outcome));
     EXPECT_EQ(outcome.contributed[2], 0);
     // The deferred slot is empty on EVERY rank, including rank 2 itself.
     EXPECT_TRUE(all[2].empty());
@@ -386,8 +389,8 @@ TEST(BoundedCollectiveTest, AllToAllBoundedDropsDeferredSenderEverywhere) {
     }
     std::vector<std::vector<uint8_t>> from_each;
     MitigationOutcome outcome;
-    VERO_COMM_OK(ctx.AllToAllBounded(std::move(to_each), &from_each,
-                                     Bounded(0.01), &outcome));
+    VERO_COMM_OK(ctx.AllToAll(std::move(to_each), &from_each,
+                              {.mitigation = Stale(0.01)}, &outcome));
     EXPECT_EQ(outcome.contributed[0], 0);
     // Everything sent BY rank 0 is dropped — its self-slice included — so
     // skip-by-mask receivers agree on every rank.
@@ -409,7 +412,8 @@ TEST(BoundedCollectiveTest, SpeculativeAllGatherChargesBackupReexecution) {
     const std::vector<uint8_t> mine(100, static_cast<uint8_t>(ctx.rank()));
     std::vector<std::vector<uint8_t>> all;
     MitigationOutcome outcome;
-    VERO_COMM_OK(ctx.AllGatherBounded(mine, &all, Speculative(), &outcome));
+    VERO_COMM_OK(
+        ctx.AllGather(mine, &all, {.mitigation = Speculative()}, &outcome));
     // Exact delivery: every slot filled.
     for (int r = 0; r < 4; ++r) EXPECT_EQ(all[r].size(), 100u);
   });
@@ -452,7 +456,7 @@ TEST(StalenessPropertyTest, BoundHeldAndMassConservedUnderRandomDelays) {
     std::vector<std::vector<double>> results(kCalls);
     std::mutex results_mu;
 
-    const MitigationOptions opts = Bounded(0.05, kBound);
+    const MitigationOptions opts = Stale(0.05, kBound);
     cluster.Run([&](WorkerContext& ctx) {
       const int rank = ctx.rank();
       uint32_t streak = 0;
@@ -463,7 +467,7 @@ TEST(StalenessPropertyTest, BoundHeldAndMassConservedUnderRandomDelays) {
           data[i] = (rank + 1) * 100.0 + call + static_cast<double>(i) * 0.5;
         }
         MitigationOutcome outcome;
-        VERO_COMM_OK(ctx.AllReduceBoundedSum(data, opts, &outcome));
+        VERO_COMM_OK(ctx.AllReduceSum(data, {.mitigation = opts}, &outcome));
         outcomes[call][rank] = outcome;
         if (rank == 0) {
           std::lock_guard<std::mutex> lock(results_mu);
@@ -622,7 +626,7 @@ TEST(StragglerGridTest, MitigationBeatsStrictUnderDominantStraggler) {
 
   // Speculative: bit-identical model, faster, waste surfaced.
   DistTrainOptions spec_options = options;
-  spec_options.params.straggler_mitigation = StragglerMitigation::kSpeculative;
+  spec_options.params.straggler_mitigation = MitigationMode::kSpeculative;
   spec_options.params.speculation_threshold_seconds = 0.01;
   Cluster spec_cluster(4);
   spec_cluster.InstallFaultPlan(make_plan());
@@ -639,7 +643,7 @@ TEST(StragglerGridTest, MitigationBeatsStrictUnderDominantStraggler) {
   // Bounded staleness: faster, mitigation engaged, loss within tolerance.
   DistTrainOptions bounded_options = options;
   bounded_options.params.straggler_mitigation =
-      StragglerMitigation::kBoundedStaleness;
+      MitigationMode::kBoundedStaleness;
   bounded_options.params.staleness_deadline_seconds = 0.01;
   Cluster bounded_cluster(4);
   bounded_cluster.InstallFaultPlan(make_plan());
@@ -681,7 +685,7 @@ TEST(StragglerGridTest, BoundedModeEngagesOnEveryQuadrant) {
     ASSERT_TRUE(base.status.ok()) << QuadrantToString(cell.quadrant);
 
     options.params.straggler_mitigation =
-        StragglerMitigation::kBoundedStaleness;
+        MitigationMode::kBoundedStaleness;
     options.params.staleness_deadline_seconds = 0.01;
     Cluster faulted(3);
     faulted.InstallFaultPlan(FaultPlan()
@@ -705,7 +709,7 @@ TEST(StragglerGridTest, EndToEndStalenessBoundForcesSync) {
   const Dataset train = MakeData(500, 16, 23);
   DistTrainOptions options = SmallOptions();
   options.params.straggler_mitigation =
-      StragglerMitigation::kBoundedStaleness;
+      MitigationMode::kBoundedStaleness;
   options.params.staleness_deadline_seconds = 0.01;
   options.params.staleness_bound = 1;
 
@@ -749,23 +753,25 @@ TEST(StragglerParamsTest, ValidationRejectsBadKnobs) {
   EXPECT_FALSE(params.Validate().ok());
 }
 
-TEST(StragglerParamsTest, MitigationFromParamsMapsEveryKnob) {
+TEST(StragglerParamsTest, PolicyFromParamsMapsEveryMitigationKnob) {
   GbdtParams params;
-  params.straggler_mitigation = StragglerMitigation::kBoundedStaleness;
+  params.straggler_mitigation = MitigationMode::kBoundedStaleness;
   params.staleness_deadline_seconds = 0.2;
   params.staleness_bound = 5;
   params.staleness_max_stale_ranks = 2;
   params.speculation_threshold_seconds = 0.3;
-  const MitigationOptions opts = MitigationFromParams(params);
+  const MitigationOptions opts =
+      CollectivePolicyFromParams(params, 1).mitigation;
   EXPECT_EQ(opts.mode, MitigationMode::kBoundedStaleness);
   EXPECT_DOUBLE_EQ(opts.deadline_seconds, 0.2);
   EXPECT_EQ(opts.staleness_bound, 5u);
   EXPECT_EQ(opts.max_stale_ranks, 2u);
   EXPECT_DOUBLE_EQ(opts.speculation_threshold_seconds, 0.3);
-  params.straggler_mitigation = StragglerMitigation::kSpeculative;
-  EXPECT_EQ(MitigationFromParams(params).mode, MitigationMode::kSpeculative);
-  params.straggler_mitigation = StragglerMitigation::kStrict;
-  EXPECT_FALSE(MitigationFromParams(params).enabled());
+  params.straggler_mitigation = MitigationMode::kSpeculative;
+  EXPECT_EQ(CollectivePolicyFromParams(params, 1).mitigation.mode,
+            MitigationMode::kSpeculative);
+  params.straggler_mitigation = MitigationMode::kStrict;
+  EXPECT_FALSE(CollectivePolicyFromParams(params, 1).mitigation.enabled());
 }
 
 }  // namespace
