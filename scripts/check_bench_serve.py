@@ -24,6 +24,10 @@ Checked invariants (see docs/serving.md):
   - on full-scale snapshots (scale >= 0.25) only: each 8-tree forest must
     reach >= 5x per-row throughput in some cell with batch >= 1024 (the
     acceptance bar; tiny ctest runs are too noisy to gate on speed).
+  - on full-scale snapshots taken with cpus >= 4 only: on each 8-tree
+    forest, the 4-thread cell at every batch >= 1024 must not be slower
+    than the 1-thread cell (threaded scaling; on fewer CPUs the threads
+    timeslice and the bar does not apply).
 
 Exits non-zero with a message on the first violation.
 """
@@ -45,6 +49,7 @@ REQUIRED_FORESTS = [(8, 1), (8, 3), (64, 1), (64, 3)]
 REQUIRED_CELLS = [(b, t) for b in (64, 1024, 8192) for t in (1, 4)]
 FULL_SCALE = 0.25
 SPEEDUP_BAR = 5.0
+SCALING_CPUS = 4
 
 
 def fail(message):
@@ -80,6 +85,7 @@ def validate(path):
         fail("workload.density must be in (0, 1]")
     check_positive_number(workload["scale"], "workload.scale")
     full_scale = workload["scale"] >= FULL_SCALE
+    threaded_gate = full_scale and workload["cpus"] >= SCALING_CPUS
 
     forests = doc.get("forests")
     if not isinstance(forests, list) or not forests:
@@ -160,12 +166,26 @@ def validate(path):
             if best < SPEEDUP_BAR:
                 fail(f"{label}: best batch>=1024 speedup {best:.2f}x is "
                      f"below the {SPEEDUP_BAR}x acceptance bar")
+            if threaded_gate:
+                for batch in (1024, 8192):
+                    one = by_cell[(batch, 1)]["rows_per_sec"]
+                    four = by_cell[(batch, 4)]["rows_per_sec"]
+                    if four < one:
+                        fail(f"{label}: batch={batch} at 4 threads "
+                             f"({four:.0f} rows/s) is slower than at 1 "
+                             f"thread ({one:.0f} rows/s)")
 
     for point in REQUIRED_FORESTS:
         if point not in seen_forests:
             fail(f"missing forest (trees, dims) = {point}")
 
-    mode = "full-scale" if full_scale else "tiny-scale (speed gate skipped)"
+    if threaded_gate:
+        mode = "full-scale, threaded-scaling gate on"
+    elif full_scale:
+        mode = ("full-scale, threaded-scaling gate skipped "
+                f"(cpus < {SCALING_CPUS})")
+    else:
+        mode = "tiny-scale (speed gates skipped)"
     print(f"check_bench_serve: OK ({path}: {len(forests)} forests, "
           f"rows={workload['rows']}, {mode})")
 

@@ -688,8 +688,8 @@ Status WorkerContext::ReduceScatterSum(std::span<double> data) {
   VERO_RETURN_IF_ERROR(Rendezvous(&serial));
   const size_t begin = SliceBegin(data.size(), rank_);
   const size_t end = SliceEnd(data.size(), rank_);
-  std::memcpy(data.data() + begin, cluster_->reduce_buffer_.data() + begin,
-              (end - begin) * sizeof(double));
+  std::copy_n(cluster_->reduce_buffer_.begin() + begin, end - begin,
+              data.begin() + begin);
   MaybeSilentCorrupt(decision, data.subspan(begin, end - begin));
   VERO_RETURN_IF_ERROR(Rendezvous(&serial));
 

@@ -4,11 +4,9 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <mutex>
-#include <queue>
-#include <thread>
-#include <vector>
 
 namespace vero {
 
@@ -104,37 +102,21 @@ class Barrier {
   std::condition_variable cv_;
 };
 
-/// Minimal fixed-size thread pool (used by tests and data generation; the
-/// cluster substrate manages its own worker threads).
-class ThreadPool {
- public:
-  explicit ThreadPool(size_t num_threads);
-  ~ThreadPool();
-
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  /// Enqueues a task for asynchronous execution.
-  void Submit(std::function<void()> task);
-
-  /// Blocks until every submitted task has finished.
-  void Wait();
-
-  size_t num_threads() const { return threads_.size(); }
-
- private:
-  void WorkerLoop();
-
-  std::vector<std::thread> threads_;
-  std::queue<std::function<void()>> tasks_;
-  std::mutex mu_;
-  std::condition_variable task_cv_;
-  std::condition_variable done_cv_;
-  size_t in_flight_ = 0;
-  bool shutdown_ = false;
-};
-
-/// Runs fn(i) for i in [0, n) across up to `num_threads` threads and joins.
+/// Runs fn(i) for every i in [0, n), each exactly once, on up to
+/// `num_threads` threads, and returns when all calls have finished.
+///
+/// The calling thread is worker 0; the other num_threads - 1 come from one
+/// process-wide runtime of persistent helper threads, parked on a condition
+/// variable between calls. Indices are claimed dynamically from one atomic
+/// counter, so callers that need a deterministic result partition their
+/// OUTPUT by index (each fn(i) writes a disjoint slice). Helpers are created
+/// only when the slots open across all concurrent callers exceed the parked
+/// helpers, so every concurrent caller gets its requested width and no
+/// thread is created per call once warm. The caller blocks (does not spin)
+/// while helpers finish, and withdraws slots no helper has taken yet.
+/// num_threads <= 1, n <= 1 and calls made from inside a helper run inline
+/// as a plain loop. An exception thrown by fn is rethrown to the caller
+/// after every claimed index has finished.
 void ParallelFor(size_t n, size_t num_threads,
                  const std::function<void(size_t)>& fn);
 

@@ -39,9 +39,9 @@ void SoftmaxInPlace(double* p, uint32_t dims) {
 void SquareLoss::ComputeGradients(const std::vector<float>& labels,
                                   const std::vector<double>& margins,
                                   uint32_t begin, uint32_t end,
-                                  GradientBuffer* out) const {
+                                  GradientBuffer* out, uint32_t out_row) const {
   for (uint32_t i = begin; i < end; ++i) {
-    GradPair& gp = out->at(i - begin, 0);
+    GradPair& gp = out->at(out_row + i - begin, 0);
     gp.g = margins[i] - labels[i];
     gp.h = 1.0;
   }
@@ -61,10 +61,11 @@ double SquareLoss::ComputeLoss(const std::vector<float>& labels,
 void LogisticLoss::ComputeGradients(const std::vector<float>& labels,
                                     const std::vector<double>& margins,
                                     uint32_t begin, uint32_t end,
-                                    GradientBuffer* out) const {
+                                    GradientBuffer* out,
+                                    uint32_t out_row) const {
   for (uint32_t i = begin; i < end; ++i) {
     const double p = Sigmoid(margins[i]);
-    GradPair& gp = out->at(i - begin, 0);
+    GradPair& gp = out->at(out_row + i - begin, 0);
     gp.g = p - labels[i];
     gp.h = std::max(p * (1.0 - p), kMinHessian);
   }
@@ -86,7 +87,8 @@ double LogisticLoss::ComputeLoss(const std::vector<float>& labels,
 void SoftmaxLoss::ComputeGradients(const std::vector<float>& labels,
                                    const std::vector<double>& margins,
                                    uint32_t begin, uint32_t end,
-                                   GradientBuffer* out) const {
+                                   GradientBuffer* out,
+                                   uint32_t out_row) const {
   const uint32_t c = num_classes_;
   std::vector<double> p(c);
   for (uint32_t i = begin; i < end; ++i) {
@@ -97,7 +99,7 @@ void SoftmaxLoss::ComputeGradients(const std::vector<float>& labels,
     const uint32_t y = static_cast<uint32_t>(labels[i]);
     VERO_DCHECK_LT(y, c);
     for (uint32_t k = 0; k < c; ++k) {
-      GradPair& gp = out->at(i - begin, k);
+      GradPair& gp = out->at(out_row + i - begin, k);
       gp.g = p[k] - (k == y ? 1.0 : 0.0);
       gp.h = std::max(2.0 * p[k] * (1.0 - p[k]), kMinHessian);
     }
@@ -147,16 +149,8 @@ void ComputeGradientsParallel(const Loss& loss,
   ParallelFor(chunks, chunks, [&](size_t c) {
     const auto begin = static_cast<uint32_t>(uint64_t{n} * c / chunks);
     const auto end = static_cast<uint32_t>(uint64_t{n} * (c + 1) / chunks);
-    // ComputeGradients writes rows relative to `begin`; stage each chunk in
-    // its own buffer and copy into place (bit-exact — plain assignment).
-    const uint32_t dims = out->num_dims();
-    GradientBuffer chunk(end - begin, dims);
-    loss.ComputeGradients(labels, margins, begin, end, &chunk);
-    for (uint32_t i = begin; i < end; ++i) {
-      for (uint32_t k = 0; k < dims; ++k) {
-        out->at(i, k) = chunk.at(i - begin, k);
-      }
-    }
+    // Each chunk writes its own rows of `out` in place.
+    loss.ComputeGradients(labels, margins, begin, end, out, begin);
   });
 }
 

@@ -24,12 +24,14 @@ class Loss {
   /// Gradient dimension C (1 except multi-class).
   virtual uint32_t num_dims() const = 0;
 
-  /// Fills grad pairs for instance range [begin, end).
+  /// Fills grad pairs for instance range [begin, end): instance i lands in
+  /// row out_row + (i - begin) of `out`.
   /// `margins` is the flat N x C margin buffer.
   virtual void ComputeGradients(const std::vector<float>& labels,
                                 const std::vector<double>& margins,
                                 uint32_t begin, uint32_t end,
-                                GradientBuffer* out) const = 0;
+                                GradientBuffer* out,
+                                uint32_t out_row = 0) const = 0;
 
   /// Mean loss over instances [begin, end).
   virtual double ComputeLoss(const std::vector<float>& labels,
@@ -45,7 +47,8 @@ class SquareLoss final : public Loss {
   uint32_t num_dims() const override { return 1; }
   void ComputeGradients(const std::vector<float>& labels,
                         const std::vector<double>& margins, uint32_t begin,
-                        uint32_t end, GradientBuffer* out) const override;
+                        uint32_t end, GradientBuffer* out,
+                        uint32_t out_row = 0) const override;
   double ComputeLoss(const std::vector<float>& labels,
                      const std::vector<double>& margins, uint32_t begin,
                      uint32_t end) const override;
@@ -59,7 +62,8 @@ class LogisticLoss final : public Loss {
   uint32_t num_dims() const override { return 1; }
   void ComputeGradients(const std::vector<float>& labels,
                         const std::vector<double>& margins, uint32_t begin,
-                        uint32_t end, GradientBuffer* out) const override;
+                        uint32_t end, GradientBuffer* out,
+                        uint32_t out_row = 0) const override;
   double ComputeLoss(const std::vector<float>& labels,
                      const std::vector<double>& margins, uint32_t begin,
                      uint32_t end) const override;
@@ -75,7 +79,8 @@ class SoftmaxLoss final : public Loss {
   uint32_t num_dims() const override { return num_classes_; }
   void ComputeGradients(const std::vector<float>& labels,
                         const std::vector<double>& margins, uint32_t begin,
-                        uint32_t end, GradientBuffer* out) const override;
+                        uint32_t end, GradientBuffer* out,
+                        uint32_t out_row = 0) const override;
   double ComputeLoss(const std::vector<float>& labels,
                      const std::vector<double>& margins, uint32_t begin,
                      uint32_t end) const override;

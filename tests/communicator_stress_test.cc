@@ -35,7 +35,8 @@ TEST_P(CommStressTest, AllReduceRandomSizes) {
 TEST_P(CommStressTest, ReduceScatterSliceSums) {
   const int w = GetParam();
   Cluster cluster(w);
-  for (size_t n : {size_t{1}, size_t{7}, size_t{w * 3 + 1}, size_t{513}}) {
+  for (size_t n : {size_t{0}, size_t{1}, size_t{7},
+                   static_cast<size_t>(w) * 3 + 1, size_t{513}}) {
     cluster.Run([&](WorkerContext& ctx) {
       std::vector<double> data(n);
       for (size_t i = 0; i < n; ++i) data[i] = i + 0.25 * ctx.rank();

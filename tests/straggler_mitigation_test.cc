@@ -245,25 +245,28 @@ TEST(BoundedCollectiveTest, BoundedAccountingLockedToCostModel) {
     EXPECT_EQ(s.speculative_bytes, 0u) << "rank " << r;
   }
 
-  const MetricsSnapshot metrics = observer.metrics().Merged();
-  EXPECT_EQ(metrics.CounterValue("staleness.deferred_contributions"), 1u);
-  EXPECT_EQ(metrics.CounterValue("staleness.forced_syncs"), 0u);
-  const MetricsSnapshot::Entry* deferred_s =
-      metrics.Find("staleness.deferred_seconds");
-  ASSERT_NE(deferred_s, nullptr);
-  EXPECT_EQ(deferred_s->count, 1u);
-  EXPECT_DOUBLE_EQ(deferred_s->sum, kDelay);
-  const MetricsSnapshot::Entry* mass = metrics.Find("staleness.deferred_mass");
-  ASSERT_NE(mass, nullptr);
-  EXPECT_DOUBLE_EQ(mass->sum, 3.0 * n);  // Rank 2's dropped (g,h) mass.
-  const MetricsSnapshot::Entry* wait =
-      metrics.Find("staleness.deadline_wait_seconds");
-  ASSERT_NE(wait, nullptr);
-  EXPECT_EQ(wait->count, 3u);
-  EXPECT_DOUBLE_EQ(wait->sum, 3 * kDeadline);
-  // Exact accounting: per-op counters still decompose CommStats totals.
-  EXPECT_EQ(metrics.CounterValue("comm.AllReduceSum.bytes_sent"),
-            cluster.TotalStats().bytes_sent);
+  if (obs::kObsEnabled) {
+    const MetricsSnapshot metrics = observer.metrics().Merged();
+    EXPECT_EQ(metrics.CounterValue("staleness.deferred_contributions"), 1u);
+    EXPECT_EQ(metrics.CounterValue("staleness.forced_syncs"), 0u);
+    const MetricsSnapshot::Entry* deferred_s =
+        metrics.Find("staleness.deferred_seconds");
+    ASSERT_NE(deferred_s, nullptr);
+    EXPECT_EQ(deferred_s->count, 1u);
+    EXPECT_DOUBLE_EQ(deferred_s->sum, kDelay);
+    const MetricsSnapshot::Entry* mass =
+        metrics.Find("staleness.deferred_mass");
+    ASSERT_NE(mass, nullptr);
+    EXPECT_DOUBLE_EQ(mass->sum, 3.0 * n);  // Rank 2's dropped (g,h) mass.
+    const MetricsSnapshot::Entry* wait =
+        metrics.Find("staleness.deadline_wait_seconds");
+    ASSERT_NE(wait, nullptr);
+    EXPECT_EQ(wait->count, 3u);
+    EXPECT_DOUBLE_EQ(wait->sum, 3 * kDeadline);
+    // Exact accounting: per-op counters still decompose CommStats totals.
+    EXPECT_EQ(metrics.CounterValue("comm.AllReduceSum.bytes_sent"),
+              cluster.TotalStats().bytes_sent);
+  }
 }
 
 TEST(BoundedCollectiveTest, SpeculativeAccountingLockedToCostModel) {
@@ -303,24 +306,26 @@ TEST(BoundedCollectiveTest, SpeculativeAccountingLockedToCostModel) {
   EXPECT_EQ(cluster.worker_stats(1).bytes_sent, wire);
   EXPECT_DOUBLE_EQ(cluster.TotalStats().deadline_wait_seconds, 0.0);
 
-  const MetricsSnapshot metrics = observer.metrics().Merged();
-  EXPECT_EQ(metrics.CounterValue("speculation.launched"), 1u);
-  EXPECT_EQ(metrics.CounterValue("speculation.wasted_bytes"), wire);
-  const MetricsSnapshot::Entry* wasted_s =
-      metrics.Find("speculation.wasted_seconds");
-  ASSERT_NE(wasted_s, nullptr);
-  EXPECT_EQ(wasted_s->count, 1u);
-  EXPECT_DOUBLE_EQ(wasted_s->sum, op_s);
-  const MetricsSnapshot::Entry* absorbed =
-      metrics.Find("speculation.absorbed_seconds");
-  ASSERT_NE(absorbed, nullptr);
-  EXPECT_DOUBLE_EQ(absorbed->sum, kDelay);
-  // Exact accounting: the duplicated volume is mirrored into the per-op
-  // counters, so they still decompose CommStats totals to the byte.
-  EXPECT_EQ(metrics.CounterValue("comm.AllReduceSum.bytes_sent"),
-            cluster.TotalStats().bytes_sent);
-  EXPECT_EQ(metrics.CounterValue("comm.AllReduceSum.ops"),
-            cluster.TotalStats().num_ops);
+  if (obs::kObsEnabled) {
+    const MetricsSnapshot metrics = observer.metrics().Merged();
+    EXPECT_EQ(metrics.CounterValue("speculation.launched"), 1u);
+    EXPECT_EQ(metrics.CounterValue("speculation.wasted_bytes"), wire);
+    const MetricsSnapshot::Entry* wasted_s =
+        metrics.Find("speculation.wasted_seconds");
+    ASSERT_NE(wasted_s, nullptr);
+    EXPECT_EQ(wasted_s->count, 1u);
+    EXPECT_DOUBLE_EQ(wasted_s->sum, op_s);
+    const MetricsSnapshot::Entry* absorbed =
+        metrics.Find("speculation.absorbed_seconds");
+    ASSERT_NE(absorbed, nullptr);
+    EXPECT_DOUBLE_EQ(absorbed->sum, kDelay);
+    // Exact accounting: the duplicated volume is mirrored into the per-op
+    // counters, so they still decompose CommStats totals to the byte.
+    EXPECT_EQ(metrics.CounterValue("comm.AllReduceSum.bytes_sent"),
+              cluster.TotalStats().bytes_sent);
+    EXPECT_EQ(metrics.CounterValue("comm.AllReduceSum.ops"),
+              cluster.TotalStats().num_ops);
+  }
 }
 
 TEST(BoundedCollectiveTest, ForcedSyncAtStalenessBound) {
@@ -348,8 +353,11 @@ TEST(BoundedCollectiveTest, ForcedSyncAtStalenessBound) {
   const CommStats& slow = cluster.worker_stats(1);
   EXPECT_DOUBLE_EQ(slow.absorbed_delay_seconds, 0.5);  // Call 1 absorbed.
   EXPECT_DOUBLE_EQ(slow.fault_delay_seconds, 0.5);     // Call 2 paid in full.
-  EXPECT_EQ(observer.metrics().Merged().CounterValue("staleness.forced_syncs"),
-            1u);
+  if (obs::kObsEnabled) {
+    EXPECT_EQ(
+        observer.metrics().Merged().CounterValue("staleness.forced_syncs"),
+        1u);
+  }
 }
 
 TEST(BoundedCollectiveTest, AllGatherBoundedDropsDeferredSlotEverywhere) {
@@ -725,9 +733,11 @@ TEST(StragglerGridTest, EndToEndStalenessBoundForcesSync) {
   const DistResult result =
       TrainDistributed(cluster, train, Quadrant::kQD1, options);
   ASSERT_TRUE(result.status.ok()) << result.status.ToString();
-  const MetricsSnapshot metrics = observer.metrics().Merged();
-  EXPECT_EQ(metrics.CounterValue("staleness.deferred_contributions"), 1u);
-  EXPECT_EQ(metrics.CounterValue("staleness.forced_syncs"), 1u);
+  if (obs::kObsEnabled) {
+    const MetricsSnapshot metrics = observer.metrics().Merged();
+    EXPECT_EQ(metrics.CounterValue("staleness.deferred_contributions"), 1u);
+    EXPECT_EQ(metrics.CounterValue("staleness.forced_syncs"), 1u);
+  }
   // The forced call paid its delay on the critical path.
   EXPECT_DOUBLE_EQ(cluster.worker_stats(1).fault_delay_seconds, 0.8);
   EXPECT_DOUBLE_EQ(cluster.worker_stats(1).absorbed_delay_seconds, 0.8);
