@@ -1,7 +1,8 @@
 // Micro-benchmarks (google-benchmark) for the kernels the paper's analysis
 // is built on: histogram construction under each store/index combination,
 // histogram subtraction, bitmap encoding vs 4-byte ids, quantile sketch
-// throughput, two-phase index lookups, and the collectives.
+// throughput, two-phase index lookups, split evaluation, and the
+// collectives.
 
 #include <benchmark/benchmark.h>
 
@@ -20,6 +21,7 @@
 #include "core/hist_builder.h"
 #include "core/histogram.h"
 #include "core/node_indexer.h"
+#include "core/split.h"
 #include "data/synthetic.h"
 #include "partition/column_group.h"
 #include "sketch/quantile_summary.h"
@@ -295,6 +297,43 @@ void BM_RowPartitionSplit(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_RowPartitionSplit);
+
+// SplitFinder::FindBest over a 20-bin histogram: dims (1 = binary,
+// 53 = the multi-class mc-qd4 shape) x the share of all-zero features,
+// which a sparse dataset's per-node histograms are full of. The counter is
+// wall time per enumerated candidate, 2 x (nbins - 1) per feature.
+void BM_SplitFindBest(benchmark::State& state) {
+  const uint32_t dims = static_cast<uint32_t>(state.range(0));
+  const double zero_share = state.range(1) / 100.0;
+  const uint32_t q = 20;
+  const uint32_t features = dims == 1 ? 12000 : 400;
+  Rng rng(23);
+  Histogram hist(features, q, dims);
+  std::vector<FeatureId> ids(features);
+  for (uint32_t f = 0; f < features; ++f) {
+    ids[f] = f;
+    if (rng.Bernoulli(zero_share)) continue;
+    for (uint32_t b = 0; b < q; ++b) {
+      for (uint32_t k = 0; k < dims; ++k) {
+        hist.at(f, b, k) = GradPair{rng.NextGaussian(), rng.NextDouble()};
+      }
+    }
+  }
+  // Every feature's present mass is below the node's: ~25 rows per bin.
+  GradStats node(dims);
+  for (GradPair& s : node) s = GradPair{rng.NextGaussian(), 30.0 * q};
+  const CandidateSplits splits(
+      q, std::vector<std::vector<float>>(features, std::vector<float>(q)));
+  const SplitFinder finder(1.0, 0.0, 0.0);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(finder.FindBest(hist, node, ids, splits));
+  }
+  const double candidates = 2.0 * features * (q - 1);
+  state.counters["per_candidate"] = benchmark::Counter(
+      candidates, benchmark::Counter::kIsIterationInvariantRate |
+                      benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_SplitFindBest)->ArgsProduct({{1, 53}, {0, 60}});
 
 void BM_AllReduce(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));

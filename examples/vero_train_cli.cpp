@@ -61,7 +61,7 @@ void PrintUsage() {
       "  [--trees T] [--layers L] [--bins q] [--learning-rate eta]\n"
       "  [--lambda L2] [--gamma G] [--leaf-wise] [--max-leaves N]\n"
       "  [--row-subsample F] [--col-subsample F] [--early-stopping R]\n"
-      "  [--quadrant qd1|qd2|qd3|qd4] [--workers W]\n"
+      "  [--quadrant qd1|qd2|qd3|qd4] [--workers W (1..256)]\n"
       "  [--compression off|sparse|sparse_delta|quantized]\n"
       "  [--model out.bin] [--importance]\n"
       "profiles: SUSY Higgs Criteo Epsilon RCV1 Synthesis RCV1-multi\n"
@@ -146,6 +146,11 @@ bool ParseArgs(int argc, char** argv, CliOptions* opt) {
       std::fprintf(stderr, "unknown or incomplete flag: %s\n", arg.c_str());
       return false;
     }
+  }
+  // Cluster starts one thread per worker; bound it like --threads.
+  if (opt->workers < 1 || opt->workers > 256) {
+    std::fprintf(stderr, "--workers must be in [1, 256]\n");
+    return false;
   }
   if (opt->predict) {
     if (opt->model_path.empty() || opt->data_path.empty()) {

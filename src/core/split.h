@@ -26,10 +26,14 @@ struct SplitCandidate {
   GradStats left_stats;
   GradStats right_stats;
 
+  /// Gains within this distance of each other tie.
+  static constexpr double kTieTol = 1e-10;
+
   /// Deterministic total order used to pick the global best split: higher
-  /// gain wins; near-ties (within `tol`) break toward the lower feature id,
-  /// then the lower bin, so every quadrant and worker agrees on one winner.
-  bool IsBetterThan(const SplitCandidate& other, double tol = 1e-10) const;
+  /// gain wins; near-ties (within kTieTol) break toward the lower feature id,
+  /// then the lower bin, then missing-right, so every quadrant and worker
+  /// agrees on one winner.
+  bool IsBetterThan(const SplitCandidate& other) const;
 
   void SerializeTo(ByteWriter* writer) const;
   static Status Deserialize(ByteReader* reader, SplitCandidate* out);

@@ -74,7 +74,9 @@ TEST(CandidateSplitsTest, BinningPropertyHolds) {
     const auto& s = splits.FeatureSplits(features[k]);
     ASSERT_LT(bins[k], s.size());
     EXPECT_LE(values[k], s[bins[k]]);
-    if (bins[k] > 0) EXPECT_GT(values[k], s[bins[k] - 1]);
+    if (bins[k] > 0) {
+      EXPECT_GT(values[k], s[bins[k] - 1]);
+    }
   }
 }
 
