@@ -23,6 +23,7 @@
 #include "core/node_indexer.h"
 #include "core/split.h"
 #include "data/synthetic.h"
+#include "obs/json_writer.h"
 #include "partition/column_group.h"
 #include "sketch/quantile_summary.h"
 
@@ -379,12 +380,6 @@ double BestSeconds(const Fn& fn) {
   return std::max(best, 1e-9);
 }
 
-void AppendJsonNumber(std::string* out, double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
-  out->append(buf);
-}
-
 int RunHistJson(const std::string& path) {
   const uint32_t n = bench::ScaledN(20000);
   const uint32_t d = 500;
@@ -504,44 +499,59 @@ int RunHistJson(const std::string& path) {
     }
   }
 
-  std::string json = "{\"schema\":\"vero.hist_bench.v1\",\"workload\":{";
-  json += "\"instances\":" + std::to_string(n);
-  json += ",\"features\":" + std::to_string(d);
-  json += ",\"bins\":20,\"density\":";
-  AppendJsonNumber(&json, density);
-  json += ",\"entries\":" + std::to_string(entries);
-  json += ",\"layer_nodes\":" + std::to_string(kNodes);
-  // Wall-clock parallel speedup needs this many cores; threads beyond it
-  // timeslice (see docs/performance.md).
-  json += ",\"cpus\":" +
-          std::to_string(std::max(1u, std::thread::hardware_concurrency()));
-  json += "},\"kernels\":[";
-  for (size_t i = 0; i < results.size(); ++i) {
-    const HistMeasurement& m = results[i];
-    if (i > 0) json += ",";
-    json += "{\"name\":\"" + std::string(m.name) + "\"";
-    json += ",\"dims\":" + std::to_string(m.dims);
-    json += ",\"threads\":" + std::to_string(m.threads);
-    json += ",\"seconds\":";
-    AppendJsonNumber(&json, m.seconds);
-    json += ",\"rows_per_sec\":";
-    AppendJsonNumber(&json, m.rows_per_sec);
-    json += ",\"entries_per_sec\":";
-    AppendJsonNumber(&json, m.entries_per_sec);
-    json += ",\"bytes_per_sec\":";
-    AppendJsonNumber(&json, m.bytes_per_sec);
-    json += ",\"speedup_vs_scalar\":";
-    AppendJsonNumber(&json, m.speedup_vs_scalar);
-    json += "}";
-  }
-  json += "]}\n";
-
   std::ofstream out(path, std::ios::binary);
   if (!out) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
     return 1;
   }
-  out << json;
+  obs::JsonWriter w(out);
+  w.BeginObject();
+  w.Key("schema");
+  w.String("vero.hist_bench.v1");
+  w.Key("workload");
+  w.BeginObject();
+  w.Key("instances");
+  w.UInt(n);
+  w.Key("features");
+  w.UInt(d);
+  w.Key("bins");
+  w.UInt(20);
+  w.Key("density");
+  w.Double(density);
+  w.Key("entries");
+  w.UInt(entries);
+  w.Key("layer_nodes");
+  w.UInt(kNodes);
+  // Wall-clock parallel speedup needs this many cores; threads beyond it
+  // timeslice (see docs/performance.md).
+  w.Key("cpus");
+  w.UInt(std::max(1u, std::thread::hardware_concurrency()));
+  w.EndObject();
+  w.Key("kernels");
+  w.BeginArray();
+  for (const HistMeasurement& m : results) {
+    w.BeginObject();
+    w.Key("name");
+    w.String(m.name);
+    w.Key("dims");
+    w.UInt(m.dims);
+    w.Key("threads");
+    w.UInt(m.threads);
+    w.Key("seconds");
+    w.Double(m.seconds);
+    w.Key("rows_per_sec");
+    w.Double(m.rows_per_sec);
+    w.Key("entries_per_sec");
+    w.Double(m.entries_per_sec);
+    w.Key("bytes_per_sec");
+    w.Double(m.bytes_per_sec);
+    w.Key("speedup_vs_scalar");
+    w.Double(m.speedup_vs_scalar);
+    w.EndObject();
+  }
+  w.EndArray();
+  w.EndObject();
+  out << "\n";
 
   std::printf("histogram kernels (N=%u D=%u nnz=%llu):\n", n, d,
               static_cast<unsigned long long>(entries));

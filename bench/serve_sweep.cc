@@ -1,5 +1,6 @@
 // Serving-throughput sweep: flat-forest batched scoring vs the per-row
-// Tree::PredictInto path, over batch size x threads x forest size x C.
+// compact walk (GbdtModel::PredictMargins, one row through every tree),
+// over batch size x threads x forest size x C.
 //
 // Emits a "vero.serve_bench.v1" JSON snapshot (--json <path>) for the perf
 // harness (scripts/check_bench_serve.py, bench_smoke.sh). Every cell carries
@@ -10,6 +11,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -18,6 +20,7 @@
 #include "common/random.h"
 #include "common/timer.h"
 #include "integrity/auditor.h"
+#include "obs/json_writer.h"
 #include "serve/batch_predictor.h"
 #include "serve/flat_forest.h"
 
@@ -38,12 +41,6 @@ double BestSeconds(const Fn& fn) {
     best = std::min(best, timer.Seconds());
   }
   return std::max(best, 1e-9);
-}
-
-void AppendJsonNumber(std::string* out, double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
-  out->append(buf);
 }
 
 std::string HexDigest(uint64_t digest) {
@@ -106,25 +103,36 @@ int Run(const std::string& json_path) {
   bench::PrintHeader(
       "serve_sweep: flat-forest batched scoring vs per-row traversal",
       "paper §3.1 (prediction cost anatomy)",
-      "batched flat scoring >= 5x per-row PredictInto at batch >= 1024 on "
-      "the 8-tree forest; identical digests across every cell of a forest");
+      "batched flat scoring >= 5x the per-row compact walk at batch >= 1024 "
+      "on the 8-tree forest; identical digests across every cell of a "
+      "forest");
 
   const Dataset data = bench::MakeWorkload(n, d, 2, density, /*seed=*/42);
   const CsrMatrix& rows = data.matrix();
 
-  std::string json = "{\"schema\":\"vero.serve_bench.v1\",\"workload\":{";
-  json += "\"rows\":" + std::to_string(n);
-  json += ",\"features\":" + std::to_string(d);
-  json += ",\"depth\":" + std::to_string(depth);
-  json += ",\"density\":";
-  AppendJsonNumber(&json, density);
-  json += ",\"scale\":";
-  AppendJsonNumber(&json, bench::Scale());
-  json += ",\"cpus\":" +
-          std::to_string(std::max(1u, std::thread::hardware_concurrency()));
-  json += "},\"forests\":[";
+  std::ostringstream json;
+  obs::JsonWriter w(json);
+  w.BeginObject();
+  w.Key("schema");
+  w.String("vero.serve_bench.v1");
+  w.Key("workload");
+  w.BeginObject();
+  w.Key("rows");
+  w.UInt(n);
+  w.Key("features");
+  w.UInt(d);
+  w.Key("depth");
+  w.UInt(depth);
+  w.Key("density");
+  w.Double(density);
+  w.Key("scale");
+  w.Double(bench::Scale());
+  w.Key("cpus");
+  w.UInt(std::max(1u, std::thread::hardware_concurrency()));
+  w.EndObject();
+  w.Key("forests");
+  w.BeginArray();
 
-  bool first_forest = true;
   for (const uint32_t trees : {8u, 64u}) {
     for (const uint32_t dims : {1u, 3u}) {
       const GbdtModel model =
@@ -135,8 +143,8 @@ int Run(const std::string& json_path) {
 
       std::vector<double> margins(static_cast<size_t>(n) * dims);
 
-      // Baseline: the training-side path — route every row through every
-      // tree with Tree::PredictInto, binary-searching the row per node.
+      // Baseline: the per-row compact walk — route every row through every
+      // tree of the model, binary-searching the row per node.
       const double per_row_seconds = BestSeconds([&] {
         for (InstanceId i = 0; i < n; ++i) {
           model.PredictMargins(rows.RowFeatures(i), rows.RowValues(i),
@@ -147,7 +155,7 @@ int Run(const std::string& json_path) {
 
       std::printf("forest T=%u C=%u (%u internal, %u leaves):\n", trees, dims,
                   forest.num_internal_nodes(), forest.num_leaves());
-      std::printf("  %-22s %10.0f rows/s\n", "per-row PredictInto",
+      std::printf("  %-22s %10.0f rows/s\n", "per-row compact walk",
                   n / per_row_seconds);
 
       std::vector<Cell> cells;
@@ -174,36 +182,49 @@ int Run(const std::string& json_path) {
         }
       }
 
-      if (!first_forest) json += ",";
-      first_forest = false;
-      json += "{\"trees\":" + std::to_string(trees);
-      json += ",\"dims\":" + std::to_string(dims);
-      json += ",\"internal_nodes\":" +
-              std::to_string(forest.num_internal_nodes());
-      json += ",\"leaves\":" + std::to_string(forest.num_leaves());
-      json += ",\"per_row\":{\"seconds\":";
-      AppendJsonNumber(&json, per_row_seconds);
-      json += ",\"rows_per_sec\":";
-      AppendJsonNumber(&json, n / per_row_seconds);
-      json += ",\"digest\":\"" + HexDigest(per_row_digest) + "\"}";
-      json += ",\"cells\":[";
-      for (size_t i = 0; i < cells.size(); ++i) {
-        const Cell& c = cells[i];
-        if (i > 0) json += ",";
-        json += "{\"batch\":" + std::to_string(c.batch);
-        json += ",\"threads\":" + std::to_string(c.threads);
-        json += ",\"seconds\":";
-        AppendJsonNumber(&json, c.seconds);
-        json += ",\"rows_per_sec\":";
-        AppendJsonNumber(&json, c.rows_per_sec);
-        json += ",\"speedup_vs_per_row\":";
-        AppendJsonNumber(&json, c.speedup_vs_per_row);
-        json += ",\"digest\":\"" + HexDigest(c.digest) + "\"}";
+      w.BeginObject();
+      w.Key("trees");
+      w.UInt(trees);
+      w.Key("dims");
+      w.UInt(dims);
+      w.Key("internal_nodes");
+      w.UInt(forest.num_internal_nodes());
+      w.Key("leaves");
+      w.UInt(forest.num_leaves());
+      w.Key("per_row");
+      w.BeginObject();
+      w.Key("seconds");
+      w.Double(per_row_seconds);
+      w.Key("rows_per_sec");
+      w.Double(n / per_row_seconds);
+      w.Key("digest");
+      w.String(HexDigest(per_row_digest));
+      w.EndObject();
+      w.Key("cells");
+      w.BeginArray();
+      for (const Cell& c : cells) {
+        w.BeginObject();
+        w.Key("batch");
+        w.UInt(c.batch);
+        w.Key("threads");
+        w.UInt(c.threads);
+        w.Key("seconds");
+        w.Double(c.seconds);
+        w.Key("rows_per_sec");
+        w.Double(c.rows_per_sec);
+        w.Key("speedup_vs_per_row");
+        w.Double(c.speedup_vs_per_row);
+        w.Key("digest");
+        w.String(HexDigest(c.digest));
+        w.EndObject();
       }
-      json += "]}";
+      w.EndArray();
+      w.EndObject();
     }
   }
-  json += "]}\n";
+  w.EndArray();
+  w.EndObject();
+  json << "\n";
 
   if (!json_path.empty()) {
     std::ofstream out(json_path, std::ios::binary);
@@ -211,7 +232,7 @@ int Run(const std::string& json_path) {
       std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
       return 1;
     }
-    out << json;
+    out << json.str();
     std::printf("wrote %s\n", json_path.c_str());
   }
   return 0;

@@ -86,27 +86,26 @@ std::string ModelToText(const GbdtModel& model) {
       << " learning_rate=" << model.learning_rate()
       << " trees=" << model.num_trees() << "\n";
   for (size_t t = 0; t < model.num_trees(); ++t) {
-    const Tree& tree = model.tree(t);
+    const FlatTree& tree = model.tree(t);
     out << "tree " << t << " (leaves=" << tree.NumLeaves() << ")\n";
-    for (NodeId id = 0; id < static_cast<NodeId>(tree.max_nodes()); ++id) {
-      if (!tree.Exists(id)) continue;
-      const TreeNode& n = tree.node(id);
+    tree.ForEachNode([&](uint32_t id, int32_t link) {
       out << "  node " << id << ": ";
-      if (n.state == TreeNode::State::kInternal) {
-        out << "split f" << n.feature << " <= " << n.split_value << " (bin "
-            << n.split_bin << ", default "
-            << (n.default_left ? "left" : "right") << ", gain " << n.gain
-            << ")";
+      if (link >= 0) {
+        out << "split f" << tree.feature()[link] << " <= "
+            << tree.threshold()[link] << " (bin " << tree.split_bin()[link]
+            << ", default " << (tree.default_left()[link] ? "left" : "right")
+            << ", gain " << tree.gain()[link] << ")";
       } else {
+        const float* w = tree.leaf(static_cast<uint32_t>(~link));
         out << "leaf [";
-        for (size_t k = 0; k < n.leaf_values.size(); ++k) {
+        for (uint32_t k = 0; k < tree.num_dims(); ++k) {
           if (k > 0) out << ", ";
-          out << n.leaf_values[k];
+          out << w[k];
         }
         out << "]";
       }
       out << "\n";
-    }
+    });
   }
   return out.str();
 }

@@ -346,15 +346,12 @@ StatusOr<GbdtModel> Trainer::Train(const Dataset& train, const Dataset* valid,
     grow_span.Close();
 
     // ---- Update margins --------------------------------------------------
+    // Added first: out-of-sample rows are routed through the compacted tree.
+    model.AddTree(tree);
     obs::PhaseSpan margin_span(trace_, "margin-update");
     if (row_sampling) {
-      // Out-of-sample rows must be routed through the finished tree.
-      const CsrMatrix& m = train.matrix();
-      for (InstanceId i = 0; i < n; ++i) {
-        tree.PredictInto(m.RowFeatures(i), m.RowValues(i),
-                         params_.learning_rate,
-                         margins.data() + static_cast<size_t>(i) * dims);
-      }
+      model.AddTreeMargins(model.num_trees() - 1, train.matrix(),
+                           margins.data());
     } else {
       for (NodeId node = 0; node < static_cast<NodeId>(tree.max_nodes());
            ++node) {
@@ -369,20 +366,13 @@ StatusOr<GbdtModel> Trainer::Train(const Dataset& train, const Dataset* valid,
       }
     }
     margin_span.Close();
-    model.AddTree(std::move(tree));
 
     // ---- Reporting / early stopping --------------------------------------
     double valid_metric = 0.0;
     bool has_valid = false;
     if (valid != nullptr) {
-      const Tree& last = model.tree(model.num_trees() - 1);
-      const CsrMatrix& vm = valid->matrix();
-      for (InstanceId i = 0; i < valid->num_instances(); ++i) {
-        last.PredictInto(vm.RowFeatures(i), vm.RowValues(i),
-                         params_.learning_rate,
-                         valid_margins.data() +
-                             static_cast<size_t>(i) * dims);
-      }
+      model.AddTreeMargins(model.num_trees() - 1, valid->matrix(),
+                           valid_margins.data());
       const MetricValue metric =
           EvaluateMargins(valid->task(), valid->num_classes(),
                           valid->labels(), valid_margins);

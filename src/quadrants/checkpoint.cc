@@ -98,7 +98,7 @@ std::vector<uint8_t> SerializeDeltaCheckpoint(const DeltaCheckpoint& delta) {
   writer.WriteU32(delta.trees_done);
   writer.WriteU32(delta.base_trees);
   writer.WriteU32(static_cast<uint32_t>(delta.trees.size()));
-  for (const Tree& tree : delta.trees) tree.SerializeTo(&writer);
+  for (const FlatTree& tree : delta.trees) tree.SerializeTo(&writer);
   writer.WriteU32(Crc32(writer.data().data(), writer.size()));
   return writer.TakeData();
 }
@@ -138,8 +138,8 @@ Status DeserializeDeltaCheckpoint(const std::vector<uint8_t>& data,
   }
   delta.trees.reserve(std::min<uint32_t>(count, 1024));
   for (uint32_t i = 0; i < count; ++i) {
-    Tree tree;
-    Status s = Tree::Deserialize(&reader, &tree);
+    FlatTree tree;
+    Status s = FlatTree::Deserialize(&reader, &tree);
     if (!s.ok()) {
       return s.code() == StatusCode::kOutOfRange
                  ? Status::Corruption("truncated delta checkpoint tree")
@@ -365,7 +365,8 @@ bool ResolveParsedEntry(const std::vector<ParsedChainFile>& chain, size_t idx,
     if (chain[j].trees_done() != entry.delta.base_trees) continue;
     TrainCheckpoint base;
     if (!ResolveParsedEntry(chain, j, &base)) continue;
-    for (const Tree& tree : entry.delta.trees) {
+    for (const FlatTree& tree : entry.delta.trees) {
+      if (tree.num_dims() != base.model.margin_dims()) return false;
       base.model.AddTree(tree);
     }
     base.trees_done = entry.delta.trees_done;
@@ -577,7 +578,7 @@ void CheckpointWriter::Submit(const GbdtModel& model, uint32_t trees_done,
       } else {
         // full(tp) + delta(tp -> tn): extend the dropped full in place; the
         // commit stays self-contained.
-        for (Tree& tree : snapshot.delta.trees) {
+        for (FlatTree& tree : snapshot.delta.trees) {
           pending_->full.model.AddTree(std::move(tree));
         }
         pending_->full.trees_done = snapshot.delta.trees_done;
@@ -707,7 +708,7 @@ void CheckpointWriter::CommitSnapshot(PendingSnapshot snapshot) {
       latest_ = std::move(snapshot.full);
     } else if (latest_.has_value() &&
                latest_->trees_done == snapshot.delta.base_trees) {
-      for (Tree& tree : snapshot.delta.trees) {
+      for (FlatTree& tree : snapshot.delta.trees) {
         latest_->model.AddTree(std::move(tree));
       }
       latest_->trees_done = snapshot.delta.trees_done;

@@ -65,7 +65,7 @@ struct DeltaCheckpoint {
   /// trees_done of the chain entry this delta extends; the full forest is
   /// that entry's reconstruction plus `trees`.
   uint32_t base_trees = 0;
-  std::vector<Tree> trees;
+  std::vector<FlatTree> trees;
 };
 
 std::vector<uint8_t> SerializeDeltaCheckpoint(const DeltaCheckpoint& delta);

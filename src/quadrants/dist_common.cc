@@ -329,14 +329,8 @@ void DistTrainerBase::Train(const Dataset* valid,
       stats.train_loss = loss_sum / num_global_instances_;
       stats.elapsed_seconds = elapsed;
       if (valid != nullptr && ctx_.rank() == 0) {
-        const Tree& last = model_.tree(model_.num_trees() - 1);
-        const CsrMatrix& vm = valid->matrix();
-        for (InstanceId i = 0; i < valid->num_instances(); ++i) {
-          last.PredictInto(vm.RowFeatures(i), vm.RowValues(i),
-                           params.learning_rate,
-                           valid_margins.data() +
-                               static_cast<size_t>(i) * dims_);
-        }
+        model_.AddTreeMargins(model_.num_trees() - 1, valid->matrix(),
+                              valid_margins.data());
         const MetricValue metric =
             EvaluateMargins(valid->task(), valid->num_classes(),
                             valid->labels(), valid_margins);

@@ -1,5 +1,6 @@
 #include "quadrants/qd2_trainer.h"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 #include <numeric>
@@ -83,7 +84,8 @@ std::vector<SplitCandidate> Qd2Trainer::FindLayerSplits(
       VERO_CHECK(hist != nullptr);
       const double* src = hist->raw_data() + fb * per_feature;
       const size_t bytes = (fe - fb) * per_feature * sizeof(double);
-      std::memcpy(out, src, bytes);
+      // A rank whose feature slice is empty has an empty, null buffer.
+      if (bytes > 0) std::memcpy(out, src, bytes);
       out += bytes;
     }
   }
@@ -173,8 +175,8 @@ std::vector<SplitCandidate> Qd2Trainer::FindLayerSplits(
   std::vector<SplitCandidate> local_best(frontier.size());
   Histogram slice(static_cast<uint32_t>(my_features), q, dims_);
   for (size_t i = 0; i < frontier.size(); ++i) {
-    std::memcpy(slice.raw_data(), agg.data() + i * doubles_per_node,
-                doubles_per_node * sizeof(double));
+    std::copy_n(agg.data() + i * doubles_per_node, doubles_per_node,
+                slice.raw_data());
     // The missing-value bucket needs the node totals minus the mass present
     // in this slice's feature bins; FindBest computes it per feature from
     // the full node stats, which works on any feature subset.

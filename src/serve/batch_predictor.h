@@ -40,7 +40,7 @@ struct ServeOptions {
 ///
 /// The contract, enforced bitwise by tests/serve_test.cc: for every input,
 /// batch size, tile shape, and thread count, margins are byte-identical to
-/// routing each row through Tree::PredictInto tree by tree. Sparse rows are
+/// GbdtModel::PredictMargins walking each row tree by tree. Sparse rows are
 /// scattered once per (row, tree-tile) into a dense per-thread scratch with
 /// epoch stamps, turning each node probe into one array load instead of a
 /// binary search over the row; forests whose feature space is too large to

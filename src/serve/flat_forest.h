@@ -12,34 +12,29 @@
 namespace vero {
 namespace serve {
 
-/// A trained forest compiled into contiguous structure-of-arrays node
-/// storage for serving (the LightGBM predictor layout).
+/// A trained forest concatenated into one contiguous structure-of-arrays
+/// node store for serving (the LightGBM predictor layout).
 ///
-/// Training trees live in heap layout (root 0, children 2i+1/2i+2) with one
-/// TreeNode struct — including a heap-allocated leaf vector — per slot, most
-/// of them unused. Serving walks millions of rows through the same few
-/// thousand nodes, so prediction throughput is bounded by memory layout, not
-/// FLOPs (paper §3.1). FromModel compacts every reachable node of every tree
-/// into four parallel arrays (split feature, threshold, default-missing
-/// direction, child links) plus one pooled leaf-weight array, in per-tree
-/// breadth-first order so the hot upper levels of a tree share cache lines.
+/// Every tree of a GbdtModel is already a FlatTree: internal nodes in
+/// breadth-first order in parallel arrays (split feature, threshold,
+/// default-missing direction, child links) plus a pooled leaf-weight array.
+/// FromModel appends the trees' arrays one after another and rebases their
+/// links, so the hot upper levels of each tree still share cache lines.
 ///
 /// Child links are signed: a non-negative link is the forest-wide index of an
 /// internal node; a negative link `r` addresses leaf `~r` in the leaf pool
 /// (C = num_dims() weights per leaf). Tree roots use the same encoding, so a
 /// single-leaf tree is just a negative root.
 ///
-/// FromModel validates the forest structurally and returns Status errors —
-/// never crashes — on malformed input (models deserialized from damaged
-/// bytes): missing roots, internal nodes with absent children or children
-/// beyond the node array, invalid split features, and leaf vectors of the
-/// wrong dimension are all rejected as Corruption.
+/// FromModel checks no tree structure: a GbdtModel cannot hold a malformed
+/// tree (FlatTree::Deserialize rejects damaged bytes). It fails only when
+/// the forest has more internal nodes than int32 links can address.
 class FlatForest {
  public:
   FlatForest() = default;
 
-  /// Compiles `model` into flat serving form. The model is not retained;
-  /// the result is self-contained and immutable.
+  /// Concatenates `model`'s trees into flat serving form. The model is not
+  /// retained; the result is self-contained and immutable.
   static StatusOr<FlatForest> FromModel(const GbdtModel& model);
 
   Task task() const { return task_; }
@@ -67,8 +62,8 @@ class FlatForest {
   std::span<const float> leaf_values() const { return leaf_values_; }
 
   /// Adds the margins of one sorted sparse row into `margins` (C dims,
-  /// caller-zeroed) — the serial flat reference path, bit-identical to
-  /// GbdtModel::PredictMargins. `features` must be sorted ascending.
+  /// caller-zeroed) — the serial walk of FlatTree::WalkToLeaf, bit-identical
+  /// to GbdtModel::PredictMargins. `features` must be sorted ascending.
   void PredictRowMargins(std::span<const FeatureId> features,
                          std::span<const float> values,
                          double* margins) const;

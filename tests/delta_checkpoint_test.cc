@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "common/crc32.h"
 #include "quadrants/checkpoint.h"
 #include "sketch/candidate_splits.h"
 
@@ -395,6 +396,34 @@ TEST_P(CorruptionLadderTest, DamagedAnchorDropsTheDependentSuffix) {
   // newest restorable state is the first sub-chain's head, trees_done = 3.
   EXPECT_EQ(loaded->trees_done, 3u);
   EXPECT_EQ(loaded->model.num_trees(), 3u);
+}
+
+// A CRC-intact delta whose tree has 2-dim leaves cannot extend a binary
+// model: resolution rejects it (instead of aborting in AddTree) and falls
+// back to the previous entry.
+TEST_P(CorruptionLadderTest, DeltaOfWrongLeafWidthFallsBackToPreviousEntry) {
+  if (!GetParam()) GTEST_SKIP() << "delta-mode only";
+  const std::string dir = BuildChain("ladder_wide_delta");
+  Tree wide(2, 2);
+  wide.SetLeaf(0, {1.0f, 2.0f});
+  DeltaCheckpoint delta;
+  delta.trees_done = 5;
+  delta.base_trees = 4;
+  delta.trees = {FlatTree(wide)};
+  const std::vector<uint8_t> bytes = SerializeDeltaCheckpoint(delta);
+  WriteFile(NewestChainFile(dir), bytes);
+  // The manifest vouches for the new bytes, so only resolution can object.
+  const std::string manifest_path = dir + "/" + kManifestFileName;
+  auto manifest = LoadManifest(manifest_path);
+  ASSERT_TRUE(manifest.ok());
+  manifest->entries.back().bytes = bytes.size();
+  manifest->entries.back().crc32 = Crc32(bytes.data(), bytes.size());
+  ASSERT_TRUE(SaveManifest(*manifest, manifest_path).ok());
+  fs::remove(dir + "/latest.vckp");
+
+  const auto loaded = LoadLatestCheckpoint(dir);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded->trees_done, 4u);
 }
 
 TEST_P(CorruptionLadderTest, EverythingDamagedIsCorruptionNeverCrash) {

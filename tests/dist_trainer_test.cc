@@ -1,5 +1,6 @@
 #include "quadrants/train_distributed.h"
 
+#include <algorithm>
 #include <cmath>
 #include <gtest/gtest.h>
 #include <map>
@@ -33,31 +34,24 @@ void ExpectSameStructure(const GbdtModel& a, const GbdtModel& b,
                          const std::string& label) {
   ASSERT_EQ(a.num_trees(), b.num_trees()) << label;
   for (size_t t = 0; t < a.num_trees(); ++t) {
-    const Tree& ta = a.tree(t);
-    const Tree& tb = b.tree(t);
-    for (NodeId id = 0; id < static_cast<NodeId>(ta.max_nodes()); ++id) {
-      ASSERT_EQ(ta.Exists(id), tb.Exists(id))
-          << label << " tree " << t << " node " << id;
-      if (!ta.Exists(id)) continue;
-      ASSERT_EQ(static_cast<int>(ta.node(id).state),
-                static_cast<int>(tb.node(id).state))
-          << label << " tree " << t << " node " << id;
-      if (ta.node(id).state == TreeNode::State::kInternal) {
-        EXPECT_EQ(ta.node(id).feature, tb.node(id).feature)
-            << label << " tree " << t << " node " << id;
-        EXPECT_EQ(ta.node(id).split_bin, tb.node(id).split_bin)
-            << label << " tree " << t << " node " << id;
-        EXPECT_EQ(ta.node(id).default_left, tb.node(id).default_left)
-            << label << " tree " << t << " node " << id;
-      } else {
-        ASSERT_EQ(ta.node(id).leaf_values.size(),
-                  tb.node(id).leaf_values.size());
-        for (size_t k = 0; k < ta.node(id).leaf_values.size(); ++k) {
-          EXPECT_NEAR(ta.node(id).leaf_values[k], tb.node(id).leaf_values[k],
-                      1e-5)
-              << label << " tree " << t << " node " << id;
-        }
-      }
+    const FlatTree& ta = a.tree(t);
+    const FlatTree& tb = b.tree(t);
+    const std::string where = label + " tree " + std::to_string(t);
+    // Both trees are in BFS order, so equal links mean equal shapes.
+    ASSERT_EQ(ta.root(), tb.root()) << where;
+    ASSERT_TRUE(std::ranges::equal(ta.left(), tb.left())) << where;
+    ASSERT_TRUE(std::ranges::equal(ta.right(), tb.right())) << where;
+    for (uint32_t i = 0; i < ta.num_internal(); ++i) {
+      EXPECT_EQ(ta.feature()[i], tb.feature()[i]) << where << " node " << i;
+      EXPECT_EQ(ta.split_bin()[i], tb.split_bin()[i])
+          << where << " node " << i;
+      EXPECT_EQ(ta.default_left()[i], tb.default_left()[i])
+          << where << " node " << i;
+    }
+    ASSERT_EQ(ta.leaf_values().size(), tb.leaf_values().size()) << where;
+    for (size_t k = 0; k < ta.leaf_values().size(); ++k) {
+      EXPECT_NEAR(ta.leaf_values()[k], tb.leaf_values()[k], 1e-5)
+          << where << " leaf weight " << k;
     }
   }
 }

@@ -2,6 +2,7 @@
 // more workers than instances, empty shards, constant features, corrupt
 // wire payloads.
 
+#include <algorithm>
 #include <cmath>
 
 #include <gtest/gtest.h>
@@ -158,16 +159,16 @@ TEST(EdgeCaseTest, WideClusterQuadrantEquivalenceStillHolds) {
     }
     ASSERT_EQ(model.num_trees(), reference.num_trees());
     for (size_t t = 0; t < model.num_trees(); ++t) {
-      const Tree& a = reference.tree(t);
-      const Tree& b = model.tree(t);
-      for (NodeId id = 0; id < static_cast<NodeId>(a.max_nodes()); ++id) {
-        ASSERT_EQ(a.Exists(id), b.Exists(id)) << QuadrantToString(q);
-        if (a.Exists(id) &&
-            a.node(id).state == TreeNode::State::kInternal) {
-          EXPECT_EQ(a.node(id).feature, b.node(id).feature)
-              << QuadrantToString(q) << " tree " << t << " node " << id;
-        }
-      }
+      const FlatTree& a = reference.tree(t);
+      const FlatTree& b = model.tree(t);
+      // Both trees are in BFS order, so equal links mean equal shapes.
+      ASSERT_EQ(a.root(), b.root()) << QuadrantToString(q);
+      ASSERT_TRUE(std::ranges::equal(a.left(), b.left()))
+          << QuadrantToString(q);
+      ASSERT_TRUE(std::ranges::equal(a.right(), b.right()))
+          << QuadrantToString(q);
+      EXPECT_TRUE(std::ranges::equal(a.feature(), b.feature()))
+          << QuadrantToString(q) << " tree " << t;
     }
   }
 }
@@ -212,35 +213,6 @@ TEST(FailureInjectionTest, RandomGarbageNeverCrashesModelDeserialize) {
     GbdtModel model;
     // Must return (usually an error); absolutely must not crash or hang.
     (void)GbdtModel::Deserialize(&reader, &model);
-  }
-}
-
-TEST(FailureInjectionTest, BitFlippedTreePayloadFailsOrStaysConsistent) {
-  Tree tree(3, 2);
-  tree.SetSplit(0, 1, 0.5f, 2, true, 1.5);
-  tree.SetLeaf(1, {1.0f, -1.0f});
-  tree.SetLeaf(2, {-1.0f, 1.0f});
-  ByteWriter writer;
-  tree.SerializeTo(&writer);
-  Rng rng(73);
-  // Few dozen trials: a flipped depth byte can legitimately allocate a
-  // 2^24-node tree, so keep the loop bounded.
-  for (int trial = 0; trial < 25; ++trial) {
-    std::vector<uint8_t> bytes = writer.data();
-    bytes[rng.Uniform(bytes.size())] ^= static_cast<uint8_t>(
-        1u << rng.Uniform(8));
-    ByteReader reader(bytes);
-    Tree out;
-    const Status status = Tree::Deserialize(&reader, &out);
-    if (status.ok()) {
-      // If it parsed, the structure must still be self-consistent enough to
-      // route an instance without crashing.
-      const std::vector<FeatureId> f = {1};
-      const std::vector<float> v = {0.2f};
-      if (out.Exists(0)) {
-        (void)out.Route({f.data(), 1}, {v.data(), 1});
-      }
-    }
   }
 }
 

@@ -1,8 +1,11 @@
 #include "serve/batch_predictor.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <gtest/gtest.h>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "common/random.h"
@@ -52,14 +55,23 @@ Tree MakeRandomTree(Rng& rng, uint32_t max_layers, uint32_t dims,
   return tree;
 }
 
-GbdtModel MakeRandomModel(Rng& rng, uint32_t trees, uint32_t max_layers,
-                          uint32_t dims, uint32_t num_features) {
-  GbdtModel model(dims == 1 ? Task::kBinary : Task::kMultiClass,
-                  dims == 1 ? 2 : dims, 0.1);
+// A random model plus the growth trees it was compacted from: the heap
+// trees are the independent oracle every serving path is checked against.
+struct RandomModel {
+  GbdtModel model;
+  std::vector<Tree> heap;
+};
+
+RandomModel MakeRandomModel(Rng& rng, uint32_t trees, uint32_t max_layers,
+                            uint32_t dims, uint32_t num_features) {
+  RandomModel out{GbdtModel(dims == 1 ? Task::kBinary : Task::kMultiClass,
+                            dims == 1 ? 2 : dims, 0.1),
+                  {}};
   for (uint32_t t = 0; t < trees; ++t) {
-    model.AddTree(MakeRandomTree(rng, max_layers, dims, num_features));
+    out.heap.push_back(MakeRandomTree(rng, max_layers, dims, num_features));
+    out.model.AddTree(out.heap.back());
   }
-  return model;
+  return out;
 }
 
 // Sorted sparse rows with random density; roughly one row in ten is empty
@@ -82,17 +94,66 @@ CsrMatrix MakeRandomRows(Rng& rng, uint32_t n, uint32_t num_features,
   return m;
 }
 
-// The per-row reference: Tree::PredictInto tree by tree, exactly what
-// GbdtModel::PredictMargins does.
-std::vector<double> ReferenceMargins(const GbdtModel& model,
+// The oracle: a test-local walk over growth trees in heap layout (root 0,
+// children 2i+1 / 2i+2), sharing no code with the compact layout.
+void HeapWalkInto(const Tree& tree, std::span<const FeatureId> features,
+                  std::span<const float> values, double scale,
+                  double* margins) {
+  NodeId id = 0;
+  while (tree.node(id).state == TreeNode::State::kInternal) {
+    const TreeNode& n = tree.node(id);
+    const auto it = std::lower_bound(features.begin(), features.end(),
+                                     n.feature);
+    const bool go_left = (it == features.end() || *it != n.feature)
+                             ? n.default_left
+                             : values[it - features.begin()] <= n.split_value;
+    id = go_left ? LeftChild(id) : RightChild(id);
+  }
+  const std::vector<float>& w = tree.node(id).leaf_values;
+  for (size_t k = 0; k < w.size(); ++k) margins[k] += scale * w[k];
+}
+
+std::vector<double> ReferenceMargins(const std::vector<Tree>& heap,
+                                     const GbdtModel& model,
                                      const CsrMatrix& m) {
   const uint32_t dims = model.margin_dims();
-  std::vector<double> out(static_cast<size_t>(m.num_rows()) * dims);
+  std::vector<double> out(static_cast<size_t>(m.num_rows()) * dims, 0.0);
   for (InstanceId i = 0; i < m.num_rows(); ++i) {
-    model.PredictMargins(m.RowFeatures(i), m.RowValues(i),
-                         out.data() + static_cast<size_t>(i) * dims);
+    for (const Tree& tree : heap) {
+      HeapWalkInto(tree, m.RowFeatures(i), m.RowValues(i),
+                   model.learning_rate(),
+                   out.data() + static_cast<size_t>(i) * dims);
+    }
   }
   return out;
+}
+
+std::vector<double> ReferenceMargins(const RandomModel& r,
+                                     const CsrMatrix& m) {
+  return ReferenceMargins(r.heap, r.model, m);
+}
+
+// Rebuilds growth trees from a trained model's compact trees (heap ids
+// come from the BFS order), so trained models get the heap-walk oracle too.
+std::vector<Tree> HeapTrees(const GbdtModel& model) {
+  std::vector<Tree> heap;
+  for (size_t t = 0; t < model.num_trees(); ++t) {
+    const FlatTree& flat = model.tree(t);
+    Tree tree(flat.max_layers(), flat.num_dims());
+    flat.ForEachNode([&](uint32_t id, int32_t link) {
+      const NodeId node = static_cast<NodeId>(id);
+      if (link >= 0) {
+        tree.SetSplit(node, flat.feature()[link], flat.threshold()[link],
+                      flat.split_bin()[link], flat.default_left()[link] != 0,
+                      flat.gain()[link]);
+      } else {
+        const float* w = flat.leaf(static_cast<uint32_t>(~link));
+        tree.SetLeaf(node, std::vector<float>(w, w + flat.num_dims()));
+      }
+    });
+    heap.push_back(std::move(tree));
+  }
+  return heap;
 }
 
 // Dense copy with NaN in every absent slot (the dense missing marker).
@@ -119,6 +180,26 @@ void ExpectBitIdentical(const std::vector<double>& want,
       << label;
 }
 
+// The two serial compact paths — GbdtModel::PredictMargins and
+// FlatForest::PredictRowMargins — row by row against `want`.
+void ExpectSerialPathsMatch(const GbdtModel& model, const FlatForest& forest,
+                            const CsrMatrix& rows,
+                            const std::vector<double>& want,
+                            const std::string& label) {
+  const uint32_t dims = model.margin_dims();
+  std::vector<double> by_model(want.size(), -1.0);
+  std::vector<double> by_forest(want.size(), 0.0);
+  for (InstanceId i = 0; i < rows.num_rows(); ++i) {
+    const size_t at = static_cast<size_t>(i) * dims;
+    model.PredictMargins(rows.RowFeatures(i), rows.RowValues(i),
+                         by_model.data() + at);
+    forest.PredictRowMargins(rows.RowFeatures(i), rows.RowValues(i),
+                             by_forest.data() + at);
+  }
+  ExpectBitIdentical(want, by_model, label + " PredictMargins");
+  ExpectBitIdentical(want, by_forest, label + " PredictRowMargins");
+}
+
 // ---- Differential property tests -----------------------------------------
 
 TEST(FlatForestTest, FlattenSingleHandBuiltTree) {
@@ -129,7 +210,7 @@ TEST(FlatForestTest, FlattenSingleHandBuiltTree) {
   t.SetLeaf(3, {-0.5f});
   t.SetLeaf(4, {0.25f});
   t.SetLeaf(2, {0.5f});
-  model.AddTree(std::move(t));
+  model.AddTree(t);
 
   auto forest_or = FlatForest::FromModel(model);
   ASSERT_TRUE(forest_or.ok()) << forest_or.status().ToString();
@@ -139,30 +220,35 @@ TEST(FlatForestTest, FlattenSingleHandBuiltTree) {
   EXPECT_EQ(forest.num_leaves(), 3u);
   EXPECT_EQ(forest.max_feature(), 4u);
 
-  const std::vector<FeatureId> features = {2, 4};
-  const std::vector<float> values = {-1.0f, 1.0f};
-  double want = 0.0, got = 0.0;
-  model.PredictMargins(features, values, &want);
-  forest.PredictRowMargins(features, values, &got);
-  EXPECT_EQ(std::memcmp(&want, &got, sizeof(double)), 0);
+  CsrMatrix rows;
+  rows.set_num_cols(5);
+  rows.StartRow();
+  rows.PushEntry(2, -1.0f);
+  rows.PushEntry(4, 1.0f);
+  ExpectSerialPathsMatch(model, forest, rows,
+                         ReferenceMargins({t}, model, rows), "hand-built");
 }
 
 // The core contract: for random forests (depths 1..L, C in {1, 3}, missing
 // values exercising default_left, sparse rows), BatchPredictor margins are
-// bit-identical to per-row Tree::PredictInto at every thread count x batch
-// size x tile shape in the grid.
+// bit-identical to the heap-walk oracle at every thread count x batch size
+// x tile shape in the grid, and so are both serial compact paths.
 TEST(BatchPredictorDifferentialTest, SparseGridBitIdentical) {
   Rng rng(1234);
   const uint32_t d = 40;
   for (const uint32_t dims : {1u, 3u}) {
     for (uint32_t max_layers = 1; max_layers <= 6; ++max_layers) {
-      const GbdtModel model = MakeRandomModel(rng, 5, max_layers, dims, d);
+      const RandomModel r = MakeRandomModel(rng, 5, max_layers, dims, d);
+      const GbdtModel& model = r.model;
       const CsrMatrix rows = MakeRandomRows(rng, 97, d, 0.3);
-      const std::vector<double> want = ReferenceMargins(model, rows);
+      const std::vector<double> want = ReferenceMargins(r, rows);
 
       auto forest_or = FlatForest::FromModel(model);
       ASSERT_TRUE(forest_or.ok()) << forest_or.status().ToString();
       const FlatForest& forest = forest_or.value();
+      ExpectSerialPathsMatch(model, forest, rows, want,
+                             "dims=" + std::to_string(dims) + " L=" +
+                                 std::to_string(max_layers));
 
       for (const uint32_t threads : {1u, 2u, 4u}) {
         for (const uint32_t batch : {1u, 3u, 17u, 64u}) {
@@ -196,13 +282,16 @@ TEST(BatchPredictorDifferentialTest, DenseGridBitIdentical) {
   Rng rng(99);
   const uint32_t d = 25;
   for (const uint32_t dims : {1u, 3u}) {
-    const GbdtModel model = MakeRandomModel(rng, 4, 5, dims, d);
+    const RandomModel r = MakeRandomModel(rng, 4, 5, dims, d);
+    const GbdtModel& model = r.model;
     const CsrMatrix rows = MakeRandomRows(rng, 61, d, 0.4);
-    const std::vector<double> want = ReferenceMargins(model, rows);
+    const std::vector<double> want = ReferenceMargins(r, rows);
     const std::vector<float> dense = DenseFromCsr(rows, d);
 
     auto forest_or = FlatForest::FromModel(model);
     ASSERT_TRUE(forest_or.ok()) << forest_or.status().ToString();
+    ExpectSerialPathsMatch(model, forest_or.value(), rows, want,
+                           "dense dims=" + std::to_string(dims));
     for (const uint32_t threads : {1u, 3u}) {
       ServeOptions options;
       options.num_threads = threads;
@@ -221,11 +310,12 @@ TEST(BatchPredictorDifferentialTest, DenseGridBitIdentical) {
 
 TEST(BatchPredictorTest, AllMissingRowsFollowDefaultDirections) {
   Rng rng(7);
-  const GbdtModel model = MakeRandomModel(rng, 6, 5, 3, 20);
+  const RandomModel r = MakeRandomModel(rng, 6, 5, 3, 20);
+  const GbdtModel& model = r.model;
   CsrMatrix rows;
   rows.set_num_cols(20);
   for (int i = 0; i < 9; ++i) rows.StartRow();  // All rows fully missing.
-  const std::vector<double> want = ReferenceMargins(model, rows);
+  const std::vector<double> want = ReferenceMargins(r, rows);
 
   auto forest_or = FlatForest::FromModel(model);
   ASSERT_TRUE(forest_or.ok());
@@ -255,9 +345,10 @@ TEST(BatchPredictorTest, EmptyForestScoresZero) {
 TEST(BatchPredictorTest, SingleLeafTreesAccumulateLeafWeights) {
   Rng rng(11);
   // max_layers == 1 forces every tree to a single leaf.
-  const GbdtModel model = MakeRandomModel(rng, 5, 1, 1, 4);
+  const RandomModel r = MakeRandomModel(rng, 5, 1, 1, 4);
+  const GbdtModel& model = r.model;
   const CsrMatrix rows = MakeRandomRows(rng, 7, 4, 0.5);
-  const std::vector<double> want = ReferenceMargins(model, rows);
+  const std::vector<double> want = ReferenceMargins(r, rows);
   auto forest_or = FlatForest::FromModel(model);
   ASSERT_TRUE(forest_or.ok());
   EXPECT_EQ(forest_or->num_internal_nodes(), 0u);
@@ -270,12 +361,13 @@ TEST(BatchPredictorTest, SingleLeafTreesAccumulateLeafWeights) {
 
 TEST(BatchPredictorTest, ThreadPartitionEdgeCases) {
   Rng rng(21);
-  const GbdtModel model = MakeRandomModel(rng, 3, 4, 1, 10);
+  const RandomModel r = MakeRandomModel(rng, 3, 4, 1, 10);
+  const GbdtModel& model = r.model;
   auto forest_or = FlatForest::FromModel(model);
   ASSERT_TRUE(forest_or.ok());
   for (const uint32_t n : {0u, 1u, 3u}) {
     const CsrMatrix rows = MakeRandomRows(rng, n, 10, 0.5);
-    const std::vector<double> want = ReferenceMargins(model, rows);
+    const std::vector<double> want = ReferenceMargins(r, rows);
     ServeOptions options;
     options.num_threads = 8;  // More threads than rows.
     const BatchPredictor predictor(&forest_or.value(), options);
@@ -296,7 +388,7 @@ TEST(BatchPredictorTest, HugeFeatureSpaceFallsBackToBinarySearch) {
   t.SetSplit(0, huge, 0.0f, 0, false, 1.0);
   t.SetLeaf(1, {-1.0f});
   t.SetLeaf(2, {1.0f});
-  model.AddTree(std::move(t));
+  model.AddTree(t);
   auto forest_or = FlatForest::FromModel(model);
   ASSERT_TRUE(forest_or.ok());
 
@@ -309,7 +401,7 @@ TEST(BatchPredictorTest, HugeFeatureSpaceFallsBackToBinarySearch) {
   rows.PushEntry(huge, 0.5f);  // Goes right.
   rows.StartRow();             // Missing -> default right.
 
-  const std::vector<double> want = ReferenceMargins(model, rows);
+  const std::vector<double> want = ReferenceMargins({t}, model, rows);
   const BatchPredictor predictor(&forest_or.value());
   std::vector<double> got(want.size(), -1.0);
   predictor.PredictCsrMargins(rows, got.data());
@@ -319,7 +411,8 @@ TEST(BatchPredictorTest, HugeFeatureSpaceFallsBackToBinarySearch) {
 TEST(BatchPredictorTest, ProbaMatchesModelLink) {
   Rng rng(31);
   for (const uint32_t dims : {1u, 3u}) {
-    const GbdtModel model = MakeRandomModel(rng, 4, 4, dims, 12);
+    const RandomModel r = MakeRandomModel(rng, 4, 4, dims, 12);
+    const GbdtModel& model = r.model;
     const CsrMatrix rows = MakeRandomRows(rng, 23, 12, 0.4);
     auto forest_or = FlatForest::FromModel(model);
     ASSERT_TRUE(forest_or.ok());
@@ -354,7 +447,8 @@ TEST(ServeOptionsTest, ValidateRejectsBadKnobs) {
 // ---- Trained-model end-to-end --------------------------------------------
 
 // Train a small model per quadrant, flatten it, and serve held-out rows:
-// the batched path must match PredictDatasetMargins byte for byte.
+// the batched path, both serial compact paths and PredictDatasetMargins
+// must match the heap-walk oracle byte for byte.
 TEST(ServeEndToEndTest, TrainedQuadrantModelsServeBitIdentical) {
   SyntheticConfig config;
   config.num_instances = 600;
@@ -375,18 +469,23 @@ TEST(ServeEndToEndTest, TrainedQuadrantModelsServeBitIdentical) {
     const GbdtModel model =
         TrainDistributed(cluster, train, q, options).model;
     ASSERT_GT(model.num_trees(), 0u);
-    const std::vector<double> want = model.PredictDatasetMargins(held_out);
+    const std::string label = std::string("quadrant ") + QuadrantToString(q);
+    const std::vector<double> want =
+        ReferenceMargins(HeapTrees(model), model, held_out.matrix());
+    ExpectBitIdentical(want, model.PredictDatasetMargins(held_out),
+                       label + " PredictDatasetMargins");
 
     auto forest_or = FlatForest::FromModel(model);
     ASSERT_TRUE(forest_or.ok()) << forest_or.status().ToString();
+    ExpectSerialPathsMatch(model, forest_or.value(), held_out.matrix(), want,
+                           label);
     ServeOptions serve_options;
     serve_options.num_threads = 3;
     serve_options.row_block = 32;
     const BatchPredictor predictor(&forest_or.value(), serve_options);
     std::vector<double> got(want.size(), -1.0);
     predictor.PredictCsrMargins(held_out.matrix(), got.data());
-    ExpectBitIdentical(want, got,
-                       std::string("quadrant ") + QuadrantToString(q));
+    ExpectBitIdentical(want, got, label);
   }
 }
 
@@ -409,9 +508,14 @@ TEST(ServeEndToEndTest, TrainedMultiClassModelServesBitIdentical) {
   ASSERT_TRUE(model_or.ok()) << model_or.status().ToString();
   const GbdtModel& model = model_or.value();
 
-  const std::vector<double> want = model.PredictDatasetMargins(held_out);
+  const std::vector<double> want =
+      ReferenceMargins(HeapTrees(model), model, held_out.matrix());
+  ExpectBitIdentical(want, model.PredictDatasetMargins(held_out),
+                     "multiclass PredictDatasetMargins");
   auto forest_or = FlatForest::FromModel(model);
   ASSERT_TRUE(forest_or.ok());
+  ExpectSerialPathsMatch(model, forest_or.value(), held_out.matrix(), want,
+                         "multiclass trainer");
   ServeOptions serve_options;
   serve_options.num_threads = 2;
   const BatchPredictor predictor(&forest_or.value(), serve_options);
@@ -420,187 +524,96 @@ TEST(ServeEndToEndTest, TrainedMultiClassModelServesBitIdentical) {
   ExpectBitIdentical(want, got, "multiclass trainer");
 }
 
-// ---- Fuzz / robustness ----------------------------------------------------
+// ---- Exhaustive decoder fuzz ---------------------------------------------
 
-// Deserializes a Tree from raw bytes (no model framing, no CRC) so damaged
-// streams can yield structurally inconsistent trees — the worst case
-// FlatForest::FromModel must survive.
-StatusOr<Tree> TreeFromBytes(const std::vector<uint8_t>& bytes) {
-  ByteReader reader(bytes);
-  Tree tree;
-  VERO_RETURN_IF_ERROR(Tree::Deserialize(&reader, &tree));
-  return tree;
-}
-
-// FromModel on models deserialized from every truncation of the serialized
-// byte stream: Deserialize may fail (fine) or succeed with an arbitrary
-// structure, in which case FromModel must return a Status — never crash.
-TEST(FlatForestFuzzTest, EveryTruncationIsHandled) {
-  Rng rng(77);
-  const GbdtModel model = MakeRandomModel(rng, 2, 4, 1, 10);
-  ByteWriter writer;
-  model.SerializeTo(&writer);
-  const std::vector<uint8_t>& bytes = writer.data();
-
-  int parsed = 0, flattened = 0;
-  for (size_t len = 0; len <= bytes.size(); ++len) {
-    ByteReader reader(bytes.data(), len);
-    GbdtModel damaged;
-    if (!GbdtModel::Deserialize(&reader, &damaged).ok()) continue;
-    ++parsed;
-    auto forest_or = FlatForest::FromModel(damaged);
-    if (forest_or.ok()) ++flattened;
+// Decodes `bytes` as a model payload (no file framing, no CRC, so damage
+// reaches the tree decoder). Whatever decodes must be a model every path
+// serves identically: PredictMargins, FlatForest::PredictRowMargins and the
+// batched predictor agree bit for bit without faulting, and the model
+// re-encodes to a stream that decodes and re-encodes to the same bytes.
+void DecodeAndServe(const std::vector<uint8_t>& bytes, size_t len,
+                    const CsrMatrix& rows, const std::string& label,
+                    int* decoded) {
+  ByteReader reader(bytes.data(), len);
+  GbdtModel model;
+  if (!GbdtModel::Deserialize(&reader, &model).ok()) return;
+  ++*decoded;
+  auto forest_or = FlatForest::FromModel(model);
+  ASSERT_TRUE(forest_or.ok()) << label << ": " << forest_or.status().ToString();
+  const uint32_t dims = model.margin_dims();
+  std::vector<double> want(static_cast<size_t>(rows.num_rows()) * dims);
+  for (InstanceId i = 0; i < rows.num_rows(); ++i) {
+    model.PredictMargins(rows.RowFeatures(i), rows.RowValues(i),
+                         want.data() + static_cast<size_t>(i) * dims);
   }
-  // The full stream must parse and flatten.
-  EXPECT_GE(parsed, 1);
-  EXPECT_GE(flattened, 1);
+  ExpectSerialPathsMatch(model, forest_or.value(), rows, want, label);
+  const BatchPredictor predictor(&forest_or.value());
+  std::vector<double> got(want.size(), -1.0);
+  predictor.PredictCsrMargins(rows, got.data());
+  ExpectBitIdentical(want, got, label + " BatchPredictor");
+
+  // Compared as bytes: a flipped float can be NaN, which no == matches.
+  ByteWriter again;
+  model.SerializeTo(&again);
+  ByteReader reread(again.data());
+  GbdtModel round_trip;
+  ASSERT_TRUE(GbdtModel::Deserialize(&reread, &round_trip).ok()) << label;
+  ByteWriter twice;
+  round_trip.SerializeTo(&twice);
+  EXPECT_EQ(again.data(), twice.data()) << label;
 }
 
-// Same ladder with single-bit flips at every byte: whatever Deserialize
-// accepts, FromModel must either flatten (and then serve safely) or reject
-// with a Status.
-TEST(FlatForestFuzzTest, EveryByteFlipIsHandled) {
-  Rng rng(78);
-  const GbdtModel model = MakeRandomModel(rng, 2, 3, 1, 10);
-  ByteWriter writer;
-  model.SerializeTo(&writer);
-  const std::vector<uint8_t> original = writer.data();
-
+struct FuzzInput {
+  std::vector<uint8_t> bytes;
   CsrMatrix rows;
-  rows.set_num_cols(1u << 16);  // Bit-flipped feature ids can be large.
-  rows.StartRow();
-  rows.PushEntry(2, 0.5f);
-  rows.PushEntry(7, -1.5f);
+};
 
-  for (size_t offset = 0; offset < original.size(); ++offset) {
-    std::vector<uint8_t> damaged = original;
-    damaged[offset] ^= static_cast<uint8_t>(1u << (offset % 8));
-    ByteReader reader(damaged);
-    GbdtModel parsed;
-    if (!GbdtModel::Deserialize(&reader, &parsed).ok()) continue;
-    auto forest_or = FlatForest::FromModel(parsed);
-    if (!forest_or.ok()) continue;
-    // A validated forest must be traversable without faulting, whatever
-    // garbage its thresholds carry.
-    const BatchPredictor predictor(&forest_or.value());
-    std::vector<double> out(forest_or->num_dims(), 0.0);
-    predictor.PredictCsrMargins(rows, 0, 1, out.data());
+// A 3-class model of lopsided trees, and rows that touch its features,
+// miss them, and carry feature ids far beyond them (flipped ids can be
+// large).
+FuzzInput MakeFuzzInput() {
+  Rng rng(77);
+  const RandomModel r = MakeRandomModel(rng, 3, 4, 3, 10);
+  FuzzInput in;
+  ByteWriter writer;
+  r.model.SerializeTo(&writer);
+  in.bytes = writer.TakeData();
+  in.rows = MakeRandomRows(rng, 12, 10, 0.5);
+  in.rows.set_num_cols(1u << 31);
+  in.rows.StartRow();
+  in.rows.PushEntry(3, 0.1f);
+  in.rows.PushEntry(1u << 20, -0.3f);
+  in.rows.PushEntry((1u << 31) - 1, 2.0f);
+  return in;
+}
+
+TEST(ModelDecodeFuzzTest, EveryTruncationFailsOrServesConsistently) {
+  const FuzzInput in = MakeFuzzInput();
+  int decoded = 0;
+  for (size_t len = 0; len <= in.bytes.size(); ++len) {
+    DecodeAndServe(in.bytes, len, in.rows, "len " + std::to_string(len),
+                   &decoded);
+    if (HasFatalFailure()) return;
   }
+  EXPECT_GE(decoded, 1);  // At least the whole stream.
 }
 
-TEST(FlatForestTest, RejectsInternalNodeWithMissingChildren) {
-  // max_layers=2, one used node: the root claims to be internal but its
-  // children were never materialized in the stream.
-  ByteWriter writer;
-  writer.WriteU32(2);  // max_layers
-  writer.WriteU32(1);  // num_dims
-  writer.WriteU32(1);  // used
-  writer.WriteU32(0);  // node id
-  writer.WriteU8(1);   // internal
-  writer.WriteU32(3);  // feature
-  writer.WriteF32(0.5f);
-  writer.WriteU16(0);
-  writer.WriteBool(false);
-  writer.WriteF64(0.0);
-  writer.WriteVector(std::vector<float>{});
-  auto tree_or = TreeFromBytes(writer.data());
-  ASSERT_TRUE(tree_or.ok()) << tree_or.status().ToString();
-
-  GbdtModel model(Task::kBinary, 2, 0.1);
-  model.AddTree(std::move(tree_or).value());
-  const auto forest_or = FlatForest::FromModel(model);
-  ASSERT_FALSE(forest_or.ok());
-  EXPECT_EQ(forest_or.status().code(), StatusCode::kCorruption);
-}
-
-TEST(FlatForestTest, RejectsInternalNodeAtLastLayer) {
-  // max_layers=1: the root is the only slot, yet the stream marks it
-  // internal — its children land beyond the node array.
-  ByteWriter writer;
-  writer.WriteU32(1);
-  writer.WriteU32(1);
-  writer.WriteU32(1);
-  writer.WriteU32(0);
-  writer.WriteU8(1);  // internal
-  writer.WriteU32(0);
-  writer.WriteF32(0.0f);
-  writer.WriteU16(0);
-  writer.WriteBool(true);
-  writer.WriteF64(0.0);
-  writer.WriteVector(std::vector<float>{});
-  auto tree_or = TreeFromBytes(writer.data());
-  ASSERT_TRUE(tree_or.ok());
-
-  GbdtModel model(Task::kBinary, 2, 0.1);
-  model.AddTree(std::move(tree_or).value());
-  const auto forest_or = FlatForest::FromModel(model);
-  ASSERT_FALSE(forest_or.ok());
-  EXPECT_EQ(forest_or.status().code(), StatusCode::kCorruption);
-}
-
-TEST(FlatForestTest, RejectsEmptyTreeAndDimensionMismatch) {
-  // A stream declaring zero used nodes parses into a rootless tree.
-  ByteWriter writer;
-  writer.WriteU32(3);
-  writer.WriteU32(1);
-  writer.WriteU32(0);  // used == 0: no root.
-  auto rootless_or = TreeFromBytes(writer.data());
-  ASSERT_TRUE(rootless_or.ok());
-  GbdtModel rootless(Task::kBinary, 2, 0.1);
-  rootless.AddTree(std::move(rootless_or).value());
-  EXPECT_EQ(FlatForest::FromModel(rootless).status().code(),
-            StatusCode::kCorruption);
-
-  // A 2-dim tree inside a binary (1-dim margin) model.
-  GbdtModel mismatched(Task::kBinary, 2, 0.1);
-  mismatched.AddTree(Tree(2, 2));
-  EXPECT_EQ(FlatForest::FromModel(mismatched).status().code(),
-            StatusCode::kCorruption);
-}
-
-// ---- Tree::Route bounds regression ---------------------------------------
-
-// The malformed trees above must also be unable to walk Tree::Route off the
-// node array: the bounds guard dies with a diagnostic instead of reading
-// out of bounds (regression for the 2i+1/2i+2 indexing).
-TEST(TreeRouteBoundsDeathTest, InternalNodeAtLastLayerDies) {
-  ByteWriter writer;
-  writer.WriteU32(1);
-  writer.WriteU32(1);
-  writer.WriteU32(1);
-  writer.WriteU32(0);
-  writer.WriteU8(1);  // internal at the only slot
-  writer.WriteU32(0);
-  writer.WriteF32(0.0f);
-  writer.WriteU16(0);
-  writer.WriteBool(true);
-  writer.WriteF64(0.0);
-  writer.WriteVector(std::vector<float>{});
-  auto tree_or = TreeFromBytes(writer.data());
-  ASSERT_TRUE(tree_or.ok());
-  const std::vector<FeatureId> features;
-  const std::vector<float> values;
-  EXPECT_DEATH(tree_or->Route(features, values), "walks off the node array");
-}
-
-TEST(TreeRouteBoundsDeathTest, RouteOntoUnusedNodeDies) {
-  ByteWriter writer;
-  writer.WriteU32(2);
-  writer.WriteU32(1);
-  writer.WriteU32(1);
-  writer.WriteU32(0);
-  writer.WriteU8(1);  // internal root, children never materialized
-  writer.WriteU32(5);
-  writer.WriteF32(0.5f);
-  writer.WriteU16(0);
-  writer.WriteBool(false);
-  writer.WriteF64(0.0);
-  writer.WriteVector(std::vector<float>{});
-  auto tree_or = TreeFromBytes(writer.data());
-  ASSERT_TRUE(tree_or.ok());
-  const std::vector<FeatureId> features;
-  const std::vector<float> values;
-  EXPECT_DEATH(tree_or->Route(features, values), "unused node");
+TEST(ModelDecodeFuzzTest, EveryBitFlipFailsOrServesConsistently) {
+  const FuzzInput in = MakeFuzzInput();
+  int decoded = 0;
+  for (size_t offset = 0; offset < in.bytes.size(); ++offset) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::vector<uint8_t> damaged = in.bytes;
+      damaged[offset] ^= static_cast<uint8_t>(1u << bit);
+      DecodeAndServe(damaged, damaged.size(), in.rows,
+                     "offset " + std::to_string(offset) + " bit " +
+                         std::to_string(bit),
+                     &decoded);
+      if (HasFatalFailure()) return;
+    }
+  }
+  // Flips inside thresholds, gains and leaf weights leave a valid model.
+  EXPECT_GT(decoded, 0);
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include "core/trainer.h"
 
+#include <algorithm>
 #include <cmath>
 #include <gtest/gtest.h>
 
@@ -143,21 +144,18 @@ TEST(TrainerTest, SubtractionDoesNotChangeTheModel) {
   for (size_t t = 0; t < ma->num_trees(); ++t) {
     // Structures must match exactly; leaf values may differ only by
     // floating-point associativity.
-    const Tree& ta = ma->tree(t);
-    const Tree& tb = mb->tree(t);
-    for (NodeId id = 0; id < static_cast<NodeId>(ta.max_nodes()); ++id) {
-      ASSERT_EQ(ta.Exists(id), tb.Exists(id));
-      if (!ta.Exists(id)) continue;
-      ASSERT_EQ(ta.node(id).state, tb.node(id).state);
-      if (ta.node(id).state == TreeNode::State::kInternal) {
-        EXPECT_EQ(ta.node(id).feature, tb.node(id).feature);
-        EXPECT_EQ(ta.node(id).split_bin, tb.node(id).split_bin);
-      } else {
-        for (size_t k = 0; k < ta.node(id).leaf_values.size(); ++k) {
-          EXPECT_NEAR(ta.node(id).leaf_values[k], tb.node(id).leaf_values[k],
-                      1e-5);
-        }
-      }
+    const FlatTree& ta = ma->tree(t);
+    const FlatTree& tb = mb->tree(t);
+    ASSERT_EQ(ta.root(), tb.root());
+    ASSERT_TRUE(std::ranges::equal(ta.left(), tb.left()));
+    ASSERT_TRUE(std::ranges::equal(ta.right(), tb.right()));
+    for (uint32_t i = 0; i < ta.num_internal(); ++i) {
+      EXPECT_EQ(ta.feature()[i], tb.feature()[i]);
+      EXPECT_EQ(ta.split_bin()[i], tb.split_bin()[i]);
+    }
+    ASSERT_EQ(ta.leaf_values().size(), tb.leaf_values().size());
+    for (size_t k = 0; k < ta.leaf_values().size(); ++k) {
+      EXPECT_NEAR(ta.leaf_values()[k], tb.leaf_values()[k], 1e-5);
     }
   }
 }
